@@ -45,7 +45,6 @@ from .fields import (
     QQ,
     RatFunc,
     field_named,
-    normalize,
     poly_gcd,
     track_denominators,
 )

@@ -23,7 +23,7 @@ Every step is deterministic, so certificates are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -35,8 +35,8 @@ from .algebra import (
 )
 from .errors import AxiomCheckError
 from .fields import QQ, rational_roots, Poly
-from .linalg import AffineSpace, Matrix, intersect, solve_affine
-from .multipoly import MPoly, ORDERS, buchberger, contains_one
+from .linalg import AffineSpace, Matrix, intersect, rref, solve_affine
+from .multipoly import GroebnerResult, MPoly, _degrevlex_key, buchberger, contains_one
 
 FULL = "full"
 MODULE_ONLY = "module_only"
@@ -212,9 +212,8 @@ def _harvest_linear(residuals, d, field, with_products):
         for p in residuals:
             for t in range(d):
                 polys.append(p.shift_by_var(t))
-    key = ORDERS["degrevlex"]
     high = sorted(
-        {m for p in polys for m in p.terms if sum(m) >= 2}, key=key, reverse=True
+        {m for p in polys for m in p.terms if sum(m) >= 2}, key=_degrevlex_key, reverse=True
     )
     col_of = {m: idx for idx, m in enumerate(high)}
     nhigh = len(high)
@@ -232,8 +231,6 @@ def _harvest_linear(residuals, d, field, with_products):
             else:
                 row[ncols - 1] = c
         rows.append(row)
-    from .linalg import rref
-
     R, rk, pivots = rref(Matrix(field, rows, ncols=ncols))
     eq_rows, eq_rhs = [], []
     for r in range(rk):
@@ -432,14 +429,15 @@ def _find_rational_point(L, prop: PropagationResult, budget: int = 400):
 
 @dataclass
 class AdmissibilityReport:
-    """Decision outcome with a reproducible certificate trace."""
+    """Decision outcome with a reproducible certificate trace; ``groebner`` is
+    the Buchberger run behind the verdict, or None when Buchberger did not run."""
 
     verdict: str
     witness: StructureTensor | None
     certificate: list
     settings: dict
     annotations: list
-    propagation: PropagationResult = dc_field(repr=False, compare=False, default=None)
+    groebner: GroebnerResult | None
 
     def stage_dims(self) -> list[int]:
         return [st["dim"] for st in self.certificate if "dim" in st]
@@ -471,40 +469,43 @@ def decide_admissible(
     annotations: list[str] = []
     cert = list(prop.trace)
 
-    def report(verdict, witness, reason):
+    def report(verdict, witness, reason, groebner=None):
+        if verdict == ADMISSIBLE and mode == MODULE_ONLY:
+            annotations.append(
+                "module-only mode decides the operator identities; no product witness is implied"
+            )
         cert.append({"stage": "conclusion", "verdict": verdict, "reason": reason})
-        return AdmissibilityReport(verdict, witness, cert, settings, annotations, prop)
+        return AdmissibilityReport(verdict, witness, cert, settings, annotations, groebner)
+
+    def solved(point, module_reason, witness_reason):
+        if mode == MODULE_ONLY:
+            return report(ADMISSIBLE, None, module_reason)
+        witness = product_tensor_at(L, point)
+        if not verify_witness(L, witness):
+            raise AssertionError("internal error: witness failed re-verification")
+        return report(ADMISSIBLE, witness, witness_reason)
 
     if not prop.space.feasible:
         return report(INADMISSIBLE, None, "linear stage infeasible")
     if not prop.residuals:
-        if mode == MODULE_ONLY:
-            annotations.append(
-                "module-only mode decides the operator identities; no product witness is implied"
-            )
-            return report(ADMISSIBLE, None, "operator system solvable")
-        witness = product_tensor_at(L, prop.space.origin)
-        if not verify_witness(L, witness):
-            raise AssertionError("internal error: origin witness failed re-verification")
-        return report(ADMISSIBLE, witness, "witness read off the solution-space origin")
+        return solved(
+            prop.space.origin,
+            "operator system solvable",
+            "witness read off the solution-space origin",
+        )
     point = _find_rational_point(L, prop, budget=witness_search_budget)
     cert.append({"stage": "witness_search", "found": point is not None})
     if point is not None:
-        if mode == MODULE_ONLY:
-            annotations.append(
-                "module-only mode decides the operator identities; no product witness is implied"
-            )
-            return report(ADMISSIBLE, None, "rational solution of the operator system found")
-        witness = product_tensor_at(L, point)
-        if not verify_witness(L, witness):
-            raise AssertionError("internal error: extracted witness failed re-verification")
-        return report(ADMISSIBLE, witness, "rational witness found by guided search")
-    gens = prop.residuals
-    gres = buchberger(gens, "degrevlex", degree_cap=degree_cap)
+        return solved(
+            point,
+            "rational solution of the operator system found",
+            "rational witness found by guided search",
+        )
+    gres = buchberger(prop.residuals, degree_cap=degree_cap)
     stage = {
         "stage": "groebner",
         "order": "degrevlex",
-        "generators": len(gens),
+        "generators": len(prop.residuals),
         "spairs": gres.spairs_processed,
         "max_degree": gres.max_degree,
         "cap_exceeded": gres.cap_exceeded,
@@ -514,15 +515,9 @@ def decide_admissible(
         stage["contains_one"] = contains_one(gres)
     cert.append(stage)
     if gres.cap_exceeded:
-        return report(UNKNOWN, None, f"degree cap {degree_cap} exceeded")
+        return report(UNKNOWN, None, f"degree cap {degree_cap} exceeded", gres)
     if contains_one(gres):
-        return report(INADMISSIBLE, None, "1 lies in the residual ideal")
-    if mode == MODULE_ONLY:
-        annotations.append(
-            "module-only mode decides the operator identities; no product witness is implied"
-        )
-    else:
-        annotations.append(
-            "solutions exist over the algebraic closure; no rational witness found"
-        )
-    return report(ADMISSIBLE, None, "residual system solvable over the closure")
+        return report(INADMISSIBLE, None, "1 lies in the residual ideal", gres)
+    if mode == FULL:
+        annotations.append("solutions exist over the algebraic closure; no rational witness found")
+    return report(ADMISSIBLE, None, "residual system solvable over the closure", gres)

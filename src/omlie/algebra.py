@@ -92,15 +92,6 @@ class StructureTensor:
             ],
         )
 
-    def is_antisymmetric(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    if self.coeffs[i][j][k] + self.coeffs[j][i][k]:
-                        return False
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, StructureTensor):
             return NotImplemented
@@ -381,16 +372,6 @@ def left_mult(A: OmegaLsaAlgebra, i: int) -> Matrix:
         raise IndexError(f"basis index {i} out of range for dimension {n}")
     c = A.product.coeffs
     return Matrix(A.field, [[c[i][j][k] for j in range(n)] for k in range(n)])
-
-
-def left_mult_operator(A: OmegaLsaAlgebra, coords) -> Matrix:
-    """Left multiplication by an arbitrary element, extended linearly."""
-    n = A.dim
-    acc = Matrix.zeros(A.field, n, n)
-    for m, v in enumerate(coords):
-        if v:
-            acc = acc + left_mult(A, m).scale(v)
-    return acc
 
 
 def check_module_identity(A: OmegaLsaAlgebra) -> CheckReport:

@@ -504,19 +504,6 @@ def field_named(name: str) -> Field:
         raise ValueError(f"unknown field {name!r}; expected one of {sorted(FIELDS)}") from None
 
 
-def normalize(x):
-    """Return the canonical representative of a field element.
-
-    Constructors already normalise, so this re-reduces defensively; equality of
-    field elements is representational equality of the normal form.
-    """
-    if isinstance(x, Fraction):
-        return Fraction(x.numerator, x.denominator)
-    if isinstance(x, RatFunc):
-        return RatFunc(x.num, x.den)
-    raise TypeError(f"not a field element: {x!r}")
-
-
 def evaluate_at(x, a0: Fraction) -> Fraction:
     """Specialise a scalar at alpha = a0.  Rationals pass through unchanged."""
     if isinstance(x, Fraction):

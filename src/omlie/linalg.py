@@ -45,12 +45,6 @@ class Matrix:
         zero = field.zero
         return cls(field, [[zero] * ncols for _ in range(nrows)], ncols=ncols)
 
-    def entry(self, r: int, c: int):
-        return self.rows[r][c]
-
-    def row(self, r: int) -> tuple:
-        return self.rows[r]
-
     def column(self, c: int) -> tuple:
         return tuple(row[c] for row in self.rows)
 
@@ -110,9 +104,6 @@ class Matrix:
                     acc = acc + a * v
             out.append(acc)
         return tuple(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
 
     def is_zero(self) -> bool:
         return all(not v for row in self.rows for v in row)
@@ -199,15 +190,16 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(m.field, [row[n:] for row in R.rows], ncols=n)
 
 
-def kernel_basis(m: Matrix) -> list[tuple]:
-    """Basis of the right kernel, derived from the RREF (canonical)."""
-    R, rk, pivots = rref(m)
-    field = m.field
+def _null_space(R: Matrix, pivots, n: int) -> list[tuple]:
+    """Kernel basis of the first n columns of a matrix in RREF, one vector per
+    free column (canonical)."""
+    field = R.field
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
     out = []
-    for f in free:
-        v = [field.zero] * m.ncols
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [field.zero] * n
         v[f] = field.one
         for r, pc in enumerate(pivots):
             e = R.rows[r][f]
@@ -215,6 +207,35 @@ def kernel_basis(m: Matrix) -> list[tuple]:
                 v[pc] = -e
         out.append(tuple(v))
     return out
+
+
+def kernel_basis(m: Matrix) -> list[tuple]:
+    """Basis of the right kernel, derived from the RREF (canonical)."""
+    R, _rk, pivots = rref(m)
+    return _null_space(R, pivots, m.ncols)
+
+
+def _combine(start, coeffs, vectors) -> tuple:
+    """start + sum of t * v over the paired coefficients and vectors."""
+    out = list(start)
+    for t, vec in zip(coeffs, vectors):
+        if not t:
+            continue
+        for j, v in enumerate(vec):
+            if v:
+                out[j] = out[j] + t * v
+    return tuple(out)
+
+
+def _reduce(vec: list, rows, pivots) -> list:
+    """Clear vec's entries in the pivot columns of RREF rows, in place."""
+    for row, pc in zip(rows, pivots):
+        c = vec[pc]
+        if c:
+            for j in range(pc, len(row)):
+                if row[j]:
+                    vec[j] = vec[j] - c * row[j]
+    return vec
 
 
 class AffineSpace:
@@ -227,7 +248,7 @@ class AffineSpace:
 
     __slots__ = ("field", "ambient_dim", "origin", "basis", "_pivots")
 
-    def __init__(self, field: Field, ambient_dim: int, origin, basis, _pivots=None):
+    def __init__(self, field: Field, ambient_dim: int, origin, basis, _pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.origin = origin
@@ -255,13 +276,7 @@ class AffineSpace:
             rows = B.rows[:rk]
         else:
             rows, pivots = (), ()
-        for r, pc in enumerate(pivots):
-            c = origin[pc]
-            if c:
-                brow = rows[r]
-                for j in range(pc, n):
-                    if brow[j]:
-                        origin[j] = origin[j] - c * brow[j]
+        _reduce(origin, rows, pivots)
         return cls(field, n, tuple(origin), tuple(rows), tuple(pivots))
 
     @property
@@ -295,34 +310,13 @@ class AffineSpace:
         """Point of the space for given parameter values."""
         if not self.feasible:
             raise ValueError("infeasible space has no points")
-        out = list(self.origin)
-        for t, b in zip(params, self.basis):
-            if not t:
-                continue
-            for j, v in enumerate(b):
-                if v:
-                    out[j] = out[j] + t * v
-        return tuple(out)
+        return _combine(self.origin, params, self.basis)
 
     def contains(self, point) -> bool:
         if not self.feasible:
             return False
         d = [self.field.coerce(p) - o for p, o in zip(point, self.origin)]
-        pivots = self._basis_pivots()
-        for row, pc in zip(self.basis, pivots):
-            c = d[pc]
-            if c:
-                for j in range(pc, self.ambient_dim):
-                    if row[j]:
-                        d[j] = d[j] - c * row[j]
-        return all(not v for v in d)
-
-    def _basis_pivots(self):
-        if self._pivots is None:
-            self._pivots = tuple(
-                next(j for j, v in enumerate(row) if v) for row in self.basis
-            )
-        return self._pivots
+        return all(not v for v in _reduce(d, self.basis, self._pivots))
 
     def sample(self, rng) -> tuple:
         """Deterministic random point: origin plus a small rational combination."""
@@ -342,19 +336,9 @@ class AffineSpace:
         if not tsol.feasible:
             return AffineSpace.infeasible(self.field, self.ambient_dim)
         origin = self.at(tsol.origin)
-        zero = self.field.zero
-
-        def direction(tau):
-            out = [zero] * self.ambient_dim
-            for t, bvec in zip(tau, self.basis):
-                if not t:
-                    continue
-                for j, v in enumerate(bvec):
-                    if v:
-                        out[j] = out[j] + t * v
-            return tuple(out)
-
-        return AffineSpace.make(self.field, origin, [direction(tau) for tau in tsol.basis])
+        zero = (self.field.zero,) * self.ambient_dim
+        directions = [_combine(zero, tau, self.basis) for tau in tsol.basis]
+        return AffineSpace.make(self.field, origin, directions)
 
 
 def solve_affine(a: Matrix, b) -> AffineSpace:
@@ -373,19 +357,7 @@ def solve_affine(a: Matrix, b) -> AffineSpace:
     origin = [field.zero] * n
     for r, pc in enumerate(pivots):
         origin[pc] = R.rows[r][n]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [field.zero] * n
-        v[f] = field.one
-        for r, pc in enumerate(pivots):
-            e = R.rows[r][f]
-            if e:
-                v[pc] = -e
-        basis.append(tuple(v))
-    return AffineSpace.make(field, origin, basis)
+    return AffineSpace.make(field, origin, _null_space(R, pivots, n))
 
 
 def intersect(space: AffineSpace, constraints) -> AffineSpace:

@@ -1,10 +1,9 @@
 """Sparse multivariate polynomials over an exact field and a degree-capped
 Buchberger algorithm with detection of 1 in the ideal.
 
-Monomials are exponent tuples.  Supported term orders: degrevlex (default,
-used to decide triviality) and lex (used for witness extraction by back
-substitution).  Coefficients are field elements, so ideals over Q(alpha) are
-handled by the same code path with exact rational-function arithmetic.
+Monomials are exponent tuples, compared in degrevlex order.  Coefficients
+are field elements, so ideals over Q(alpha) are handled by the same code path
+with exact rational-function arithmetic.
 
 Selection strategy and all tie-breaks are deterministic (normal strategy:
 lowest lcm degree first, ties by generator indices), so identical inputs
@@ -14,7 +13,6 @@ produce byte-identical bases.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .fields import Field
@@ -22,13 +20,6 @@ from .fields import Field
 
 def _degrevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _lex_key(m):
-    return m
-
-
-ORDERS = {"degrevlex": _degrevlex_key, "lex": _lex_key}
 
 
 def _mono_mul(a, b):
@@ -50,14 +41,11 @@ def _mono_lcm(a, b):
 class MPoly:
     """Multivariate polynomial: {exponent tuple: nonzero coefficient}."""
 
-    __slots__ = ("field", "nvars", "order", "terms")
+    __slots__ = ("field", "nvars", "terms")
 
-    def __init__(self, field: Field, nvars: int, terms=None, order: str = "degrevlex"):
-        if order not in ORDERS:
-            raise ValueError(f"unknown monomial order {order!r}")
+    def __init__(self, field: Field, nvars: int, terms=None):
         self.field = field
         self.nvars = nvars
-        self.order = order
         clean = {}
         for m, c in (terms or {}).items():
             c = field.coerce(c)
@@ -68,29 +56,24 @@ class MPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, field: Field, nvars: int, order: str = "degrevlex") -> "MPoly":
-        return cls(field, nvars, {}, order)
+    def zero(cls, field: Field, nvars: int) -> "MPoly":
+        return cls(field, nvars, {})
 
     @classmethod
-    def const(cls, field: Field, nvars: int, value, order: str = "degrevlex") -> "MPoly":
-        return cls(field, nvars, {(0,) * nvars: value}, order)
+    def const(cls, field: Field, nvars: int, value) -> "MPoly":
+        return cls(field, nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, field: Field, nvars: int, index: int, order: str = "degrevlex") -> "MPoly":
+    def variable(cls, field: Field, nvars: int, index: int) -> "MPoly":
         m = [0] * nvars
         m[index] = 1
-        return cls(field, nvars, {tuple(m): field.one}, order)
+        return cls(field, nvars, {tuple(m): field.one})
 
     def _like(self, terms) -> "MPoly":
         out = MPoly.__new__(MPoly)
-        out.field, out.nvars, out.order = self.field, self.nvars, self.order
+        out.field, out.nvars = self.field, self.nvars
         out.terms = terms
         return out
-
-    def with_order(self, order: str) -> "MPoly":
-        if order == self.order:
-            return self
-        return MPoly(self.field, self.nvars, self.terms, order)
 
     def __bool__(self):
         return bool(self.terms)
@@ -166,8 +149,7 @@ class MPoly:
         return self._like(out)
 
     def lead_monomial(self):
-        key = ORDERS[self.order]
-        return max(self.terms, key=key)
+        return max(self.terms, key=_degrevlex_key)
 
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
@@ -225,9 +207,8 @@ class MPoly:
         if not self.terms:
             return "0"
         names = names or [f"p{i}" for i in range(self.nvars)]
-        key = ORDERS[self.order]
         parts = []
-        for m in sorted(self.terms, key=key, reverse=True):
+        for m in sorted(self.terms, key=_degrevlex_key, reverse=True):
             c = self.terms[m]
             factors = [
                 names[i] if e == 1 else f"{names[i]}^{e}"
@@ -295,8 +276,7 @@ def interreduce(polys) -> list[MPoly]:
             else:
                 changed = True
         polys = out
-    key = ORDERS[polys[0].order] if polys else None
-    return sorted(polys, key=lambda p: key(p.lead_monomial()), reverse=True) if polys else []
+    return sorted(polys, key=lambda p: _degrevlex_key(p.lead_monomial()), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -309,40 +289,17 @@ class GroebnerResult:
     max_degree: int
 
 
-# Bases produced while a recorder is active are appended here; used by the
-# acceptance suite to re-check the Buchberger criterion after the fact.
-_BASIS_RECORDERS: list[list] = []
-
-
-@contextmanager
-def record_bases():
-    log: list[GroebnerResult] = []
-    _BASIS_RECORDERS.append(log)
-    try:
-        yield log
-    finally:
-        _BASIS_RECORDERS.remove(log)
-
-
-def buchberger(gens, order: str = "degrevlex", degree_cap: int = 6) -> GroebnerResult:
+def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
     """Reduced Groebner basis of the ideal, or cap_exceeded.
 
     The cap bounds the total degree of any lcm selected and of any new basis
     element; hitting it aborts with a marker rather than an answer.
     """
-    polys = [p.with_order(order) for p in gens if p]
-    G = interreduce(polys)
+    G = interreduce(gens)
     spairs = 0
     maxdeg = max((p.degree() for p in G), default=0)
-
-    def _result(basis, cap_hit):
-        res = GroebnerResult(basis, cap_hit, spairs, maxdeg)
-        for log in _BASIS_RECORDERS:
-            log.append(res)
-        return res
-
     if not G:
-        return _result((), False)
+        return GroebnerResult((), False, spairs, maxdeg)
     heap: list[tuple[int, int, int]] = []
     for i in range(len(G)):
         for j in range(i):
@@ -351,7 +308,7 @@ def buchberger(gens, order: str = "degrevlex", degree_cap: int = 6) -> GroebnerR
     while heap:
         lcmdeg, i, j = heapq.heappop(heap)
         if lcmdeg > degree_cap:
-            return _result(None, True)
+            return GroebnerResult(None, True, spairs, maxdeg)
         fi, fj = G[i], G[j]
         li, lj = fi.lead_monomial(), fj.lead_monomial()
         if _mono_mul(li, lj) == _mono_lcm(li, lj):
@@ -361,7 +318,7 @@ def buchberger(gens, order: str = "degrevlex", degree_cap: int = 6) -> GroebnerR
         if not h:
             continue
         if h.degree() > degree_cap:
-            return _result(None, True)
+            return GroebnerResult(None, True, spairs, maxdeg)
         h = h.monic()
         maxdeg = max(maxdeg, h.degree())
         G.append(h)
@@ -369,8 +326,7 @@ def buchberger(gens, order: str = "degrevlex", degree_cap: int = 6) -> GroebnerR
         for t in range(k):
             lcm = _mono_lcm(G[t].lead_monomial(), h.lead_monomial())
             heapq.heappush(heap, (sum(lcm), t, k))
-    basis = tuple(interreduce(G))
-    return _result(basis, False)
+    return GroebnerResult(tuple(interreduce(G)), False, spairs, maxdeg)
 
 
 def contains_one(result: GroebnerResult):

@@ -11,7 +11,6 @@ from omlie.fields import (
     evaluate_at,
     field_named,
     format_poly,
-    normalize,
     poly_gcd,
     rational_roots,
     track_denominators,
@@ -43,7 +42,6 @@ class TestPolyGcd:
 class TestNormalization:
     def test_fraction_reduction(self):
         assert Fraction(2, 4) == Fraction(1, 2)
-        assert normalize(Fraction(2, 4)) == Fraction(1, 2)
 
     def test_ratfunc_cancellation(self):
         x = RatFunc(P(-1, 0, 1), P(-1, 1))  # (alpha^2 - 1) / (alpha - 1)
@@ -60,16 +58,6 @@ class TestNormalization:
         with pytest.raises(ZeroDivisionError):
             RatFunc(P(1), Poly())
 
-    def test_normalize_idempotent_random(self):
-        rng = random.Random(101)
-        for _ in range(200):
-            num = P(*[Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))])
-            den = P(*[Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))])
-            if not den:
-                continue
-            x = RatFunc(num, den)
-            assert normalize(x) == x
-            assert normalize(normalize(x)) == normalize(x)
 
 
 def _random_scalar(rng, field):

@@ -1,0 +1,95 @@
+"""Golden certificates: ``admissible --format json`` reports compared with a
+recorded copy, so that a refactor that claims to keep verdicts, certificates,
+witnesses and annotations byte-identical is checked across commits, not only
+across reruns of one commit.
+
+The inputs are every ``verify-theorem1`` target, the commutators of LSA3-1 and
+LSA3-2 at default parameters, and abelian dim 2 with the witness search off
+(which reaches Buchberger), each in both decider modes.  ``timing_ms`` and
+``input.path`` are dropped before comparing.
+
+Re-record (only when a change of output is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from omlie.cli import run_command, theorem_targets
+
+GOLDEN_PATH = Path(__file__).with_name("golden_certificates.json")
+MODES = ("full", "module-only")
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run_command(argv)
+    return code, buf.getvalue()
+
+
+def _generate(argv):
+    code, _ = _run(argv)
+    assert code == 0, argv
+
+
+def _inputs():
+    """(case stem, input file, extra admissible flags), files in the cwd."""
+    out = []
+    for name, params, field in theorem_targets():
+        stem = f"{name}-alt" if params else name
+        argv = ["catalog", "emit", "--family", name, "--field", field.name,
+                "--output", f"{stem}.alg"]
+        for k, v in sorted(params.items()):
+            argv += ["--param", f"{k}={v}"]
+        _generate(argv)
+        out.append((stem, f"{stem}.alg", []))
+    for family in ("LSA3-1", "LSA3-2"):
+        _generate(["catalog", "emit", "--family", family, "--output", f"{family}.lsa.alg"])
+        _generate(["commutator", f"{family}.lsa.alg", "--output", f"comm-{family}.alg"])
+        out.append((f"comm-{family}", f"comm-{family}.alg", []))
+    Path("abelian2.alg").write_text(
+        "kind = lie\nfield = Q\ndim = 2\nbasis = e1, e2\n", encoding="utf-8"
+    )
+    out.append(("abelian2-budget0", "abelian2.alg", ["--witness-search-budget", "0"]))
+    return out
+
+
+def collect_reports(workdir):
+    """Every golden case's report, keyed by case name, with the
+    nondeterministic fields removed."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        reports = {}
+        for stem, path, extra in _inputs():
+            for mode in MODES:
+                argv = ["admissible", path, "--mode", mode, "--format", "json", *extra]
+                code, out = _run(argv)
+                doc = json.loads(out)
+                doc.pop("timing_ms")
+                doc["input"].pop("path")
+                reports[f"{stem} [{mode}]"] = {"exit_code": code, "document": doc}
+        return reports
+    finally:
+        os.chdir(cwd)
+
+
+def test_admissible_reports_match_golden(tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    reports = collect_reports(tmp_path)
+    assert sorted(reports) == sorted(golden)
+    for case, want in golden.items():
+        got = reports[case]
+        assert json.dumps(got, indent=2) == json.dumps(want, indent=2), case
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        data = collect_reports(tmp)
+    GOLDEN_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {len(data)} cases to {GOLDEN_PATH}")

@@ -14,12 +14,12 @@ from omlie.multipoly import (
 from oracles import random_fraction
 
 
-def mp(nvars, terms, field=QQ, order="degrevlex"):
-    return MPoly(field, nvars, terms, order)
+def mp(nvars, terms, field=QQ):
+    return MPoly(field, nvars, terms)
 
 
-def var(i, nvars, field=QQ, order="degrevlex"):
-    return MPoly.variable(field, nvars, i, order)
+def var(i, nvars, field=QQ):
+    return MPoly.variable(field, nvars, i)
 
 
 class TestArithmetic:
@@ -36,11 +36,10 @@ class TestArithmetic:
         part = p.substitute({0: Fraction(2)})
         assert part == mp(2, {(0, 1): -3, (0, 0): 6})
 
-    def test_orders_disagree_where_expected(self):
-        # x0 beats x1^2 in lex but loses in degrevlex
+    def test_degrevlex_lead_prefers_total_degree(self):
+        # x1^2 beats x0 in degrevlex (it would lose in lex)
         p = mp(2, {(1, 0): 1, (0, 2): 1})
         assert p.lead_monomial() == (0, 2)
-        assert p.with_order("lex").lead_monomial() == (1, 0)
 
 
 class TestNormalForm:
