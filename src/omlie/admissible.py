@@ -35,7 +35,7 @@ from .algebra import (
 )
 from .errors import AxiomCheckError
 from .fields import QQ, rational_roots, Poly
-from .linalg import AffineSpace, Matrix, intersect, rref, solve_affine
+from .linalg import AffineSpace, Matrix, eliminate, intersect, solve_affine
 from .multipoly import GroebnerResult, MPoly, _degrevlex_key, buchberger, contains_one
 
 FULL = "full"
@@ -206,7 +206,8 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[MP
 
 def _harvest_linear(residuals, d, field, with_products):
     """All degree <= 1 rows in the span of the residuals (plus, optionally,
-    their single-variable multiples), as linear equations on the parameters."""
+    their single-variable multiples), as sparse linear equations on the
+    parameters with the right-hand side at column d."""
     polys = list(residuals)
     if with_products:
         for p in residuals:
@@ -215,31 +216,17 @@ def _harvest_linear(residuals, d, field, with_products):
     high = sorted(
         {m for p in polys for m in p.terms if sum(m) >= 2}, key=_degrevlex_key, reverse=True
     )
-    col_of = {m: idx for idx, m in enumerate(high)}
     nhigh = len(high)
-    ncols = nhigh + d + 1
-    zero = field.zero
-    rows = []
-    for p in polys:
-        row = [zero] * ncols
-        for m, c in p.terms.items():
-            deg = sum(m)
-            if deg >= 2:
-                row[col_of[m]] = c
-            elif deg == 1:
-                row[nhigh + m.index(1)] = c
-            else:
-                row[ncols - 1] = c
-        rows.append(row)
-    R, rk, pivots = rref(Matrix(field, rows, ncols=ncols))
-    eq_rows, eq_rhs = [], []
-    for r in range(rk):
-        if pivots[r] < nhigh:
-            continue
-        data = R.rows[r]
-        eq_rows.append(list(data[nhigh : nhigh + d]))
-        eq_rhs.append(-data[ncols - 1])
-    return eq_rows, eq_rhs
+    col_of = {m: idx for idx, m in enumerate(high)}
+    for t in range(d + 1):  # the parameters' columns, then the constant's at nhigh + d
+        col_of[tuple(int(j == t) for j in range(d))] = nhigh + t
+    rows, pivots = eliminate(field, [{col_of[m]: c for m, c in p.terms.items()} for p in polys])
+    # Shift to parameter columns; the constant column becomes the right-hand side.
+    return [
+        {c - nhigh: -v if c == nhigh + d else v for c, v in row.items()}
+        for row, pc in zip(rows, pivots)
+        if pc >= nhigh
+    ]
 
 
 @dataclass
@@ -263,14 +250,14 @@ def _consequence_fixed_point(L, space, trace=None):
         residuals = module_identity_residuals(L, space)
         if not residuals:
             break
-        rows, rhs = _harvest_linear(residuals, space.dim, field, False)
+        rows = _harvest_linear(residuals, space.dim, field, False)
         used_products = False
         if not rows and 0 < space.dim <= PRODUCTS_DIM_LIMIT:
-            rows, rhs = _harvest_linear(residuals, space.dim, field, True)
+            rows = _harvest_linear(residuals, space.dim, field, True)
             used_products = True
         if not rows:
             break
-        space = space.restrict(rows, rhs)
+        space = space.restrict(rows)
         iteration += 1
         if trace is not None:
             trace.append(
@@ -295,11 +282,8 @@ def propagate(L: OmegaLieAlgebra, mode: str = FULL) -> PropagationResult:
     trace with solution-space dimensions.
     """
     mode = _normalize_mode(mode)
-    n = L.dim
-    field = L.field
     trace: list[dict] = []
-    a, b = jacobi_consequence_constraints(L)
-    space = solve_affine(a, b) if a.nrows else AffineSpace.full(field, n * n * n)
+    space = solve_affine(*jacobi_consequence_constraints(L))
     trace.append({"stage": "jacobi_consequences", "dim": space.dim})
     if mode == FULL and space.feasible:
         space = intersect(space, compatibility_constraints(L))
@@ -414,10 +398,8 @@ def _find_rational_point(L, prop: PropagationResult, budget: int = 400):
             return None
         state[0] -= 1
         var, cands = _branch_candidates(residuals, field)
-        unit = [field.zero] * space.dim
-        unit[var] = field.one
         for val in cands:
-            sub = space.restrict([list(unit)], [field.coerce(val)])
+            sub = space.restrict([{var: field.one, space.dim: field.coerce(val)}])
             sub, res = _consequence_fixed_point(L, sub)
             out = search(sub, res)
             if out is not None:

@@ -9,7 +9,8 @@ used as positive controls for the admissibility decider.
 Every instantiation is validated by the matching axiom checker; a parameter
 combination that breaks the defining identities raises AxiomCheckError, and
 explicit side conditions (alpha not in {0, -1} for the C families, a != 0 for
-P1, b1, c1 != 0 and b1 + c1 + 1 = 0 for P2) raise SideConditionError.
+P1, b1, c1 != 0 and b1 + c1 + 1 = 0 for P2) and parameter names outside the
+family's slots raise SideConditionError.
 """
 
 from __future__ import annotations
@@ -415,10 +416,17 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def instantiate(name: str, params: dict | None = None, field: Field = QQ):
-    """Build a catalog algebra; validates side conditions and the axioms."""
-    get_entry(name)
-    builder = _BUILDERS[name]
-    return builder(dict(params or {}), field)
+    """Build a catalog algebra; validates parameter names, side conditions and
+    the axioms."""
+    params = dict(params or {})
+    slots = [s.name for s in get_entry(name).slots]
+    unknown = sorted(set(params) - set(slots))
+    if unknown:
+        raise SideConditionError(
+            f"{name} has no parameter {', '.join(map(repr, unknown))}; "
+            f"its parameters are: {', '.join(slots) or 'none'}"
+        )
+    return _BUILDERS[name](params, field)
 
 
 def perfect_lie_entries() -> list[CatalogEntry]:

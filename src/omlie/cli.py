@@ -348,6 +348,12 @@ def _cmd_verify_theorem1(args, argv):
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omlie",
@@ -376,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("admissible", help="decide compatible left-symmetric products")
     p.add_argument("file")
     p.add_argument("--mode", choices=("full", "module-only"), default="full")
-    p.add_argument("--degree-cap", type=int, default=6)
-    p.add_argument("--witness-search-budget", type=int, default=400,
+    p.add_argument("--degree-cap", type=_nonnegative_int, default=6)
+    p.add_argument("--witness-search-budget", type=_nonnegative_int, default=400,
                    help="node budget for the rational point search; 0 disables it")
     p.add_argument("--sample", action="append", metavar="alpha=VALUE")
     add_format(p)
@@ -400,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-theorem1",
         help="decide every perfect catalog family and require INADMISSIBLE",
     )
-    p.add_argument("--degree-cap", type=int, default=6)
+    p.add_argument("--degree-cap", type=_nonnegative_int, default=6)
     add_format(p)
     p.set_defaults(func=_cmd_verify_theorem1)
 

@@ -1,14 +1,17 @@
-"""Dense exact linear algebra over either scalar field.
+"""Exact linear algebra over either scalar field.
 
-Reduced row echelon form with first-nonzero pivoting (exact arithmetic needs
-no magnitude pivoting), affine solution spaces of linear systems, and
-intersection of an affine space with further constraints.  Affine spaces are
-kept in a canonical form (basis rows in RREF, origin reduced against them) so
-that equal solution sets compare equal syntactically; the propagation loop in
-the admissibility decider relies on that for fixed-point detection.
+Every elimination is :func:`eliminate`: Gauss-Jordan on sparse rows
+(``{column: nonzero entry}``) pivoting left to right on the first remaining row
+(exact arithmetic needs no magnitude pivoting); ``rref`` is its dense view.
+Affine spaces are kept in a canonical form (basis rows in RREF, origin reduced
+against them) so that equal solution sets compare equal syntactically; the
+propagation loop in the admissibility decider relies on that for fixed-point
+detection.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from .fields import Field
 
@@ -130,44 +133,65 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}]({body})"
 
 
+def eliminate(field: Field, rows):
+    """Gauss-Jordan elimination of sparse rows, each a ``{column: entry}`` dict.
+
+    Returns (reduced nonzero rows, pivot columns) in pivot order; the rows are
+    those of the RREF.  Columns are taken left to right and each pivots on the
+    first remaining row holding it, the pivot row swapping places with the
+    first remaining row.  That order fixes which entries get inverted, and
+    with them the denominators ``track_denominators`` records for rejecting
+    sampled alpha values.  Zero entries in the input are ignored; the input
+    rows are not modified.
+    """
+    one = field.one
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    lead = [min(row, default=inf) for row in rows]
+    pivots = []
+    for pr in range(len(rows)):
+        pc = min(lead[pr:])
+        if pc == inf:
+            break
+        pivot = lead.index(pc, pr)
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        lead[pr], lead[pivot] = lead[pivot], lead[pr]
+        prow = rows[pr]
+        pv = prow[pc]
+        if pv != one:
+            inv = one / pv
+            for c in prow:
+                prow[c] = prow[c] * inv
+        for r, row in enumerate(rows):
+            f = row.get(pc) if r != pr else None
+            if f is None:
+                continue
+            for c, v in prow.items():
+                x = row[c] - f * v if c in row else -(f * v)
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            if r > pr:
+                lead[r] = min(row, default=inf)
+        pivots.append(pc)
+    return rows[: len(pivots)], pivots
+
+
+def _sparse(field: Field, vec) -> dict:
+    """Nonzero entries of a dense vector, coerced into the field."""
+    return {j: x for j, x in enumerate(map(field.coerce, vec)) if x}
+
+
+def _dense(field: Field, row: dict, n: int) -> tuple:
+    return tuple(row.get(j, field.zero) for j in range(n))
+
+
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (rref matrix, rank, pivot columns)."""
     field = m.field
-    nr, nc = m.nrows, m.ncols
-    rows = [list(r) for r in m.rows]
-    pivots = []
-    pr = 0
-    for pc in range(nc):
-        pivot = None
-        for r in range(pr, nr):
-            if rows[r][pc]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        prow = rows[pr]
-        pv = prow[pc]
-        if pv != field.one:
-            inv = field.one / pv
-            for c in range(pc, nc):
-                if prow[c]:
-                    prow[c] = prow[c] * inv
-        nz = [(c, prow[c]) for c in range(pc, nc) if prow[c]]
-        for r in range(nr):
-            if r == pr:
-                continue
-            row = rows[r]
-            f = row[pc]
-            if not f:
-                continue
-            for c, v in nz:
-                row[c] = row[c] - f * v
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return Matrix(field, rows, ncols=nc), pr, tuple(pivots)
+    rows, pivots = eliminate(field, [_sparse(field, row) for row in m.rows])
+    dense = [_dense(field, row, m.ncols) for row in rows + [{}] * (m.nrows - len(rows))]
+    return Matrix(field, dense, ncols=m.ncols), len(pivots), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -176,24 +200,19 @@ def rank(m: Matrix) -> int:
 
 def invert(m: Matrix) -> Matrix:
     """Inverse of a square matrix; raises ValueError when singular."""
-    if m.nrows != m.ncols:
+    field, n = m.field, m.nrows
+    if m.ncols != n:
         raise ValueError("only square matrices can be inverted")
-    n = m.nrows
-    aug = Matrix(
-        m.field,
-        [list(m.rows[i]) + list(Matrix.identity(m.field, n).rows[i]) for i in range(n)],
-        ncols=2 * n,
-    )
-    R, _rk, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)):
+    aug = [_sparse(field, row) | {n + i: field.one} for i, row in enumerate(m.rows)]
+    rows, pivots = eliminate(field, aug)
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(m.field, [row[n:] for row in R.rows], ncols=n)
+    return Matrix(field, [[row.get(n + j, field.zero) for j in range(n)] for row in rows], ncols=n)
 
 
-def _null_space(R: Matrix, pivots, n: int) -> list[tuple]:
-    """Kernel basis of the first n columns of a matrix in RREF, one vector per
-    free column (canonical)."""
-    field = R.field
+def _null_space(field: Field, rows, pivots, n: int) -> list[tuple]:
+    """Kernel basis of the first n columns of reduced sparse rows, one vector
+    per free column (canonical)."""
     pivot_set = set(pivots)
     out = []
     for f in range(n):
@@ -201,18 +220,17 @@ def _null_space(R: Matrix, pivots, n: int) -> list[tuple]:
             continue
         v = [field.zero] * n
         v[f] = field.one
-        for r, pc in enumerate(pivots):
-            e = R.rows[r][f]
-            if e:
-                v[pc] = -e
+        for row, pc in zip(rows, pivots):
+            if f in row:
+                v[pc] = -row[f]
         out.append(tuple(v))
     return out
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the right kernel, derived from the RREF (canonical)."""
-    R, _rk, pivots = rref(m)
-    return _null_space(R, pivots, m.ncols)
+    rows, pivots = eliminate(m.field, [_sparse(m.field, row) for row in m.rows])
+    return _null_space(m.field, rows, pivots, m.ncols)
 
 
 def _combine(start, coeffs, vectors) -> tuple:
@@ -227,17 +245,6 @@ def _combine(start, coeffs, vectors) -> tuple:
     return tuple(out)
 
 
-def _reduce(vec: list, rows, pivots) -> list:
-    """Clear vec's entries in the pivot columns of RREF rows, in place."""
-    for row, pc in zip(rows, pivots):
-        c = vec[pc]
-        if c:
-            for j in range(pc, len(row)):
-                if row[j]:
-                    vec[j] = vec[j] - c * row[j]
-    return vec
-
-
 class AffineSpace:
     """Affine solution set origin + span(basis), or the infeasible marker.
 
@@ -246,38 +253,36 @@ class AffineSpace:
     the same set of points iff they compare equal.
     """
 
-    __slots__ = ("field", "ambient_dim", "origin", "basis", "_pivots")
+    __slots__ = ("field", "ambient_dim", "origin", "basis")
 
-    def __init__(self, field: Field, ambient_dim: int, origin, basis, _pivots):
+    def __init__(self, field: Field, ambient_dim: int, origin, basis):
         self.field = field
         self.ambient_dim = ambient_dim
         self.origin = origin
         self.basis = basis
-        self._pivots = _pivots
 
     @classmethod
     def infeasible(cls, field: Field, ambient_dim: int) -> "AffineSpace":
-        return cls(field, ambient_dim, None, (), ())
+        return cls(field, ambient_dim, None, ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "AffineSpace":
         origin = (field.zero,) * ambient_dim
-        basis = Matrix.identity(field, ambient_dim).rows
-        return cls(field, ambient_dim, origin, basis, tuple(range(ambient_dim)))
+        return cls(field, ambient_dim, origin, Matrix.identity(field, ambient_dim).rows)
 
     @classmethod
     def make(cls, field: Field, origin, basis_vectors) -> "AffineSpace":
         """Canonicalise an (origin, spanning vectors) description."""
         n = len(origin)
         origin = [field.coerce(v) for v in origin]
-        vecs = [v for v in basis_vectors if any(field.coerce(x) for x in v)]
-        if vecs:
-            B, rk, pivots = rref(Matrix(field, vecs, ncols=n))
-            rows = B.rows[:rk]
-        else:
-            rows, pivots = (), ()
-        _reduce(origin, rows, pivots)
-        return cls(field, n, tuple(origin), tuple(rows), tuple(pivots))
+        rows, pivots = eliminate(field, [_sparse(field, v) for v in basis_vectors])
+        for row, pc in zip(rows, pivots):
+            c = origin[pc]
+            if c:
+                for j, v in row.items():
+                    origin[j] = origin[j] - c * v
+        basis = tuple(_dense(field, row, n) for row in rows)
+        return cls(field, n, tuple(origin), basis)
 
     @property
     def feasible(self) -> bool:
@@ -313,10 +318,7 @@ class AffineSpace:
         return _combine(self.origin, params, self.basis)
 
     def contains(self, point) -> bool:
-        if not self.feasible:
-            return False
-        d = [self.field.coerce(p) - o for p, o in zip(point, self.origin)]
-        return all(not v for v in _reduce(d, self.basis, self._pivots))
+        return self.feasible and AffineSpace.make(self.field, point, self.basis) == self
 
     def sample(self, rng) -> tuple:
         """Deterministic random point: origin plus a small rational combination."""
@@ -328,11 +330,12 @@ class AffineSpace:
         ]
         return self.at(params)
 
-    def restrict(self, rows, rhs) -> "AffineSpace":
-        """Intersect with constraints expressed in this space's parameters."""
+    def restrict(self, rows) -> "AffineSpace":
+        """Intersect with constraints in this space's parameters: sparse rows
+        ``{parameter: coefficient}`` with the right-hand side at column ``dim``."""
         if not self.feasible or not rows:
             return self
-        tsol = solve_affine(Matrix(self.field, rows, ncols=self.dim), rhs)
+        tsol = _solve(self.field, rows, self.dim)
         if not tsol.feasible:
             return AffineSpace.infeasible(self.field, self.ambient_dim)
         origin = self.at(tsol.origin)
@@ -341,23 +344,30 @@ class AffineSpace:
         return AffineSpace.make(self.field, origin, directions)
 
 
-def solve_affine(a: Matrix, b) -> AffineSpace:
-    """Full solution set of a x = b as an AffineSpace (infeasible is a value)."""
-    field = a.field
-    b = [field.coerce(v) for v in b]
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    n = a.ncols
-    aug = Matrix(field, [list(row) + [bv] for row, bv in zip(a.rows, b)], ncols=n + 1)
-    if a.nrows == 0:
-        return AffineSpace.full(field, n)
-    R, rk, pivots = rref(aug)
+def _solve(field: Field, rows, n: int) -> AffineSpace:
+    """Solution set in n unknowns of sparse rows with the right-hand side at
+    column n (infeasible is a value)."""
+    rows, pivots = eliminate(field, rows)
     if pivots and pivots[-1] == n:
         return AffineSpace.infeasible(field, n)
     origin = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        origin[pc] = R.rows[r][n]
-    return AffineSpace.make(field, origin, _null_space(R, pivots, n))
+    for row, pc in zip(rows, pivots):
+        origin[pc] = row.get(n, field.zero)
+    return AffineSpace.make(field, origin, _null_space(field, rows, pivots, n))
+
+
+def solve_affine(a: Matrix, b) -> AffineSpace:
+    """Full solution set of a x = b as an AffineSpace (infeasible is a value)."""
+    if len(b) != a.nrows:
+        raise ValueError("right-hand side length does not match row count")
+    field = a.field
+    rows = [_sparse(field, (*row, bv)) for row, bv in zip(a.rows, b)]
+    return _solve(field, rows, a.ncols)
+
+
+def _dot(field: Field, pairs, vec):
+    """Sum of x * vec[j] over the (j, x) pairs."""
+    return sum((x * vec[j] for j, x in pairs), field.zero)
 
 
 def intersect(space: AffineSpace, constraints) -> AffineSpace:
@@ -371,20 +381,11 @@ def intersect(space: AffineSpace, constraints) -> AffineSpace:
         return space
     if a.ncols != space.ambient_dim:
         raise ValueError("constraint width does not match ambient dimension")
+    field = space.field
     rows = []
-    rhs = []
     for crow, bv in zip(a.rows, b):
-        coeffs = []
-        for bvec in space.basis:
-            acc = space.field.zero
-            for x, y in zip(crow, bvec):
-                if x and y:
-                    acc = acc + x * y
-            coeffs.append(acc)
-        off = space.field.coerce(bv)
-        for x, o in zip(crow, space.origin):
-            if x and o:
-                off = off - x * o
-        rows.append(coeffs)
-        rhs.append(off)
-    return space.restrict(rows, rhs)
+        nz = [(j, x) for j, x in enumerate(crow) if x]
+        row = {t: _dot(field, nz, bvec) for t, bvec in enumerate(space.basis)}
+        row[space.dim] = field.coerce(bv) - _dot(field, nz, space.origin)
+        rows.append(row)
+    return space.restrict(rows)

@@ -127,6 +127,12 @@ class TestExtensionFamilies:
         with pytest.raises(SideConditionError):
             instantiate("P2", {"h3": "a"}, QQ)
 
+    def test_unknown_parameter_names_rejected(self):
+        with pytest.raises(SideConditionError, match="'bogus'.*none"):
+            instantiate("B", {"bogus": 3}, QQ)
+        with pytest.raises(SideConditionError, match="'dim'.*dim_h1, a, h1, h2"):
+            instantiate("P1", {"dim": 2}, QQ)
+
     def test_p2_scalar_sum_constraint_enforced_exactly(self):
         L = instantiate("P2", {"b1": "1/3", "c1": "-4/3"}, QQ)
         assert check_omega_lie(L).ok and is_perfect(L)

@@ -76,6 +76,15 @@ class TestCatalogCommands:
         code, _, err = run(capsys, "catalog", "emit", "--family", "C_alpha", "--param", "alpha=0")
         assert code == 2 and "alpha" in err
 
+    @pytest.mark.parametrize(
+        "family,param,named",
+        [("B", "bogus=3", "none"), ("P1", "dim=2", "dim_h1"), ("LSA3-1", "alpha=1", "a1, a2, a3")],
+    )
+    def test_emit_unknown_param_exit_2(self, capsys, family, param, named):
+        code, out, err = run(capsys, "catalog", "emit", "--family", family, "--param", param)
+        assert code == 2 and out == ""
+        assert repr(param.split("=")[0]) in err and named in err
+
 
 class TestCheckCommand:
     def test_valid_file_exits_zero(self, capsys, tmp_path):
@@ -249,6 +258,23 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "catalog", "emit", "--family", "P2")
         _, out2, _ = run(capsys, "catalog", "emit", "--family", "P2")
         assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["admissible", "{f}", "--degree-cap", "-1", "--witness-search-budget", "0"],
+        ["admissible", "{f}", "--witness-search-budget", "-1"],
+        ["admissible", "{f}", "--degree-cap", "two"],
+        ["verify-theorem1", "--degree-cap", "-1"],
+    ],
+)
+def test_negative_bounds_exit_2(capsys, tmp_path, argv):
+    f = tmp_path / "ab.alg"
+    f.write_text("kind = lie\nfield = Q\ndim = 2\nbasis = u, v\n")
+    code, out, err = run(capsys, *(a.format(f=f) for a in argv))
+    assert code == 2 and out == ""
+    assert "non-negative integer" in err
 
 
 def test_usage_error_exit_code(capsys):

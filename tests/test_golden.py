@@ -10,6 +10,10 @@ LSA3-2 at default parameters, and abelian dim 2 with the witness search off
 
 Re-record (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
+
+The certificates do not cover ``--sample`` rows, which depend on the
+denominators the generic run over Q(alpha) inverts; those trails are pinned
+separately, in order, by ``test_denominator_trails_match_golden``.
 """
 
 import io
@@ -19,7 +23,12 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from omlie.admissible import FULL, MODULE_ONLY, decide_admissible
+from omlie.catalog import instantiate
 from omlie.cli import run_command, theorem_targets
+from omlie.fields import QALPHA, RatFunc, track_denominators
 
 GOLDEN_PATH = Path(__file__).with_name("golden_certificates.json")
 MODES = ("full", "module-only")
@@ -86,6 +95,37 @@ def test_admissible_reports_match_golden(tmp_path):
     for case, want in golden.items():
         got = reports[case]
         assert json.dumps(got, indent=2) == json.dumps(want, indent=2), case
+
+
+# Ordered track_denominators trail of decide_admissible, per Q(alpha) target
+# and mode, as monic polynomials in alpha.
+GOLDEN_TRAILS = {
+    ("A_alpha", FULL): [],
+    ("A_alpha", MODULE_ONLY): [],
+    ("C_alpha", FULL): ["alpha + 1", "alpha"],
+    ("C_alpha", MODULE_ONLY): ["alpha + 1", "alpha"],
+    ("G1_alpha", FULL): ["alpha", "alpha^2"],
+    ("G1_alpha", MODULE_ONLY): ["alpha"],
+    ("H1_alpha", FULL): ["alpha", "alpha^2"],
+    ("H1_alpha", MODULE_ONLY): ["alpha"],
+    ("Atilde_alpha", FULL): [],
+    ("Atilde_alpha", MODULE_ONLY): [],
+    ("Ctilde_alpha", FULL): ["alpha + 1", "alpha"],
+    ("Ctilde_alpha", MODULE_ONLY): ["alpha + 1", "alpha"],
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_TRAILS))
+def test_denominator_trails_match_golden(name, mode):
+    targets = [(n, p, f) for n, p, f in theorem_targets() if f is QALPHA]
+    assert sorted({(n, m) for n, _, _ in targets for m in (FULL, MODULE_ONLY)}) == sorted(
+        GOLDEN_TRAILS
+    )
+    (params,) = [p for n, p, _ in targets if n == name]
+    L = instantiate(name, params, QALPHA)
+    with track_denominators() as trail:
+        decide_admissible(L, mode=mode)
+    assert [QALPHA.format(RatFunc(pol)) for pol in trail] == GOLDEN_TRAILS[(name, mode)]
 
 
 if __name__ == "__main__":

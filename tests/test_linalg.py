@@ -55,6 +55,39 @@ class TestRref:
             assert rk + len(kernel_basis(m)) == nc
 
 
+def _sparse_random_rows(rng, nr, nc):
+    """Mostly-zero rows plus exact combinations of earlier rows, so that
+    elimination both fills in entries and cancels whole rows to zero."""
+    rows = []
+    for _ in range(nr):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            a, b = rng.sample(rows, 2)
+            s, t = random_fraction(rng) or Fraction(1), random_fraction(rng)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+            continue
+        row = [Fraction(0)] * nc
+        for c in rng.sample(range(nc), rng.randint(0, min(3, nc))):
+            row[c] = random_fraction(rng)
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rref_matches_sympy_on_sparse_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        rows = _sparse_random_rows(rng, nr, nc)
+        R, rk, piv = rref(M(rows, ncols=nc))
+        S, spiv = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+        ).rref()
+        want = [[Fraction(int(v.p), int(v.q)) for v in S.row(i)] for i in range(nr)]
+        assert [list(r) for r in R.rows] == want
+        assert piv == tuple(spiv) and rk == len(spiv)
+
+
 class TestSolveAffine:
     def test_unique_point(self):
         s = solve_affine(Matrix.identity(QQ, 2), (1, 2))
