@@ -36,7 +36,7 @@ from .algebra import (
 from .errors import AxiomCheckError
 from .fields import QQ, rational_roots, Poly
 from .linalg import AffineSpace, Matrix, eliminate, intersect, solve_affine
-from .multipoly import GroebnerResult, MPoly, _degrevlex_key, buchberger, contains_one
+from .multipoly import GroebnerResult, MPoly, _degrevlex_desc_key, buchberger, contains_one
 
 FULL = "full"
 MODULE_ONLY = "module_only"
@@ -213,9 +213,7 @@ def _harvest_linear(residuals, d, field, with_products):
         for p in residuals:
             for t in range(d):
                 polys.append(p.shift_by_var(t))
-    high = sorted(
-        {m for p in polys for m in p.terms if sum(m) >= 2}, key=_degrevlex_key, reverse=True
-    )
+    high = sorted({m for p in polys for m in p.terms if sum(m) >= 2}, key=_degrevlex_desc_key)
     nhigh = len(high)
     col_of = {m: idx for idx, m in enumerate(high)}
     for t in range(d + 1):  # the parameters' columns, then the constant's at nhigh + d

@@ -1,9 +1,15 @@
 """Sparse multivariate polynomials over an exact field and a degree-capped
 Buchberger algorithm with detection of 1 in the ideal.
 
-Monomials are exponent tuples, compared in degrevlex order.  Coefficients
-are field elements, so ideals over Q(alpha) are handled by the same code path
-with exact rational-function arithmetic.
+Monomials are exponent tuples, compared in degrevlex order through one sort
+key that lists them lead first.  Coefficients are field elements, so ideals
+over Q(alpha) are handled by the same code path with exact rational-function
+arithmetic.
+
+Division (``normal_form``) reduces in one mutable term dict whose pending
+monomials sit in a heap, largest first, and reads each divisor's lead once
+per call; Buchberger keeps each basis element's lead beside it.  No step
+rescans a whole polynomial to find its lead.
 
 Selection strategy and all tie-breaks are deterministic (normal strategy:
 lowest lcm degree first, ties by generator indices), so identical inputs
@@ -14,16 +20,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, sub
 
 from .fields import Field
 
 
-def _degrevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
+def _degrevlex_desc_key(m):
+    """Sort key listing monomials in descending degrevlex order, so that
+    ``min`` picks the lead and a heap pops the largest first."""
+    return (-sum(m), m[::-1])
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_divides(a, b):
@@ -31,11 +40,15 @@ def _mono_divides(a, b):
 
 
 def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _mono_coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
 
 
 class MPoly:
@@ -149,7 +162,7 @@ class MPoly:
         return self._like(out)
 
     def lead_monomial(self):
-        return max(self.terms, key=_degrevlex_key)
+        return min(self.terms, key=_degrevlex_desc_key)
 
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
@@ -208,7 +221,7 @@ class MPoly:
             return "0"
         names = names or [f"p{i}" for i in range(self.nvars)]
         parts = []
-        for m in sorted(self.terms, key=_degrevlex_key, reverse=True):
+        for m in sorted(self.terms, key=_degrevlex_desc_key):
             c = self.terms[m]
             factors = [
                 names[i] if e == 1 else f"{names[i]}^{e}"
@@ -233,28 +246,50 @@ def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     lf, lg = f.lead_monomial(), g.lead_monomial()
     lcm = _mono_lcm(lf, lg)
     one = f.field.one
-    tf = f.times_term(one / f.lead_coeff(), _mono_div(lcm, lf))
-    tg = g.times_term(one / g.lead_coeff(), _mono_div(lcm, lg))
+    tf = f.times_term(one / f.terms[lf], _mono_div(lcm, lf))
+    tg = g.times_term(one / g.terms[lg], _mono_div(lcm, lg))
     return tf - tg
 
 
 def normal_form(f: MPoly, basis) -> MPoly:
-    """Remainder of f on division by the basis (first divisor in list order)."""
-    rem = {}
-    work = f
-    while work:
-        lm = work.lead_monomial()
-        lc = work.terms[lm]
-        for g in basis:
-            if not g:
-                continue
+    """Remainder of f on division by the basis: the largest pending monomial
+    is reduced first, by the first divisor in list order whose lead divides it.
+    """
+    divisors = []
+    for g in basis:
+        if g:
             gm = g.lead_monomial()
-            if _mono_divides(gm, lm):
-                work = work - g.times_term(lc / g.lead_coeff(), _mono_div(lm, gm))
+            divisors.append((gm, g.terms[gm], g.terms))
+    work = dict(f.terms)
+    heap = [(_degrevlex_desc_key(m), m) for m in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled, or a stale duplicate heap entry
+        for gm, glc, gterms in divisors:
+            if _mono_divides(gm, m):
+                q = c / glc
+                shift = _mono_div(m, gm)
+                for t, gc in gterms.items():
+                    if t == gm:
+                        continue  # cancels c exactly
+                    t = _mono_mul(t, shift)
+                    acc = work.get(t)
+                    if acc is None:
+                        work[t] = -(gc * q)
+                        heapq.heappush(heap, (_degrevlex_desc_key(t), t))
+                    else:
+                        acc = acc - gc * q
+                        if acc:
+                            work[t] = acc
+                        else:
+                            del work[t]
                 break
         else:
-            rem[lm] = lc
-            work = work._like({m: c for m, c in work.terms.items() if m != lm})
+            rem[m] = c
     return f._like(rem)
 
 
@@ -276,7 +311,7 @@ def interreduce(polys) -> list[MPoly]:
             else:
                 changed = True
         polys = out
-    return sorted(polys, key=lambda p: _degrevlex_key(p.lead_monomial()), reverse=True)
+    return sorted(polys, key=lambda p: _degrevlex_desc_key(p.lead_monomial()))
 
 
 @dataclass(frozen=True)
@@ -292,29 +327,34 @@ class GroebnerResult:
 def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
     """Reduced Groebner basis of the ideal, or cap_exceeded.
 
-    The cap bounds the total degree of any lcm selected and of any new basis
-    element; hitting it aborts with a marker rather than an answer.
+    The cap bounds the total degree of every interreduced generator, of any
+    lcm selected and of any new basis element; hitting it aborts with a marker
+    rather than an answer.  Pairs with coprime leads are never selected: their
+    S-polynomials reduce to zero.
     """
     G = interreduce(gens)
     spairs = 0
     maxdeg = max((p.degree() for p in G), default=0)
     if not G:
         return GroebnerResult((), False, spairs, maxdeg)
+    if maxdeg > degree_cap:
+        return GroebnerResult(None, True, spairs, maxdeg)
+    leads = [p.lead_monomial() for p in G]
     heap: list[tuple[int, int, int]] = []
-    for i in range(len(G)):
-        for j in range(i):
-            lcm = _mono_lcm(G[i].lead_monomial(), G[j].lead_monomial())
-            heapq.heappush(heap, (sum(lcm), j, i))
+
+    def add_pairs(k):
+        for t in range(k):
+            if not _mono_coprime(leads[t], leads[k]):
+                heapq.heappush(heap, (sum(_mono_lcm(leads[t], leads[k])), t, k))
+
+    for k in range(len(G)):
+        add_pairs(k)
     while heap:
         lcmdeg, i, j = heapq.heappop(heap)
         if lcmdeg > degree_cap:
             return GroebnerResult(None, True, spairs, maxdeg)
-        fi, fj = G[i], G[j]
-        li, lj = fi.lead_monomial(), fj.lead_monomial()
-        if _mono_mul(li, lj) == _mono_lcm(li, lj):
-            continue  # coprime leads: S-polynomial reduces to zero
         spairs += 1
-        h = normal_form(s_polynomial(fi, fj), G)
+        h = normal_form(s_polynomial(G[i], G[j]), G)
         if not h:
             continue
         if h.degree() > degree_cap:
@@ -322,10 +362,8 @@ def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
         h = h.monic()
         maxdeg = max(maxdeg, h.degree())
         G.append(h)
-        k = len(G) - 1
-        for t in range(k):
-            lcm = _mono_lcm(G[t].lead_monomial(), h.lead_monomial())
-            heapq.heappush(heap, (sum(lcm), t, k))
+        leads.append(h.lead_monomial())
+        add_pairs(len(G) - 1)
     return GroebnerResult(tuple(interreduce(G)), False, spairs, maxdeg)
 
 

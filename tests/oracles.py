@@ -77,3 +77,31 @@ def random_fraction(rng, den_max=6, num_max=9):
     from fractions import Fraction
 
     return Fraction(rng.randint(-num_max, num_max), rng.randint(1, den_max))
+
+
+def _degrevlex_key(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def normal_form_reference(f, basis):
+    """Division remainder by the plain loop: find the largest monomial left
+    by a full scan under a separately written degrevlex key, reduce it by the
+    first divisor in list order whose lead divides it, and rebuild the working
+    polynomial after each step."""
+    rem = {}
+    work = f
+    while work:
+        lm = max(work.terms, key=_degrevlex_key)
+        lc = work.terms[lm]
+        for g in basis:
+            if not g:
+                continue
+            gm = max(g.terms, key=_degrevlex_key)
+            if all(x <= y for x, y in zip(gm, lm)):
+                shift = tuple(x - y for x, y in zip(lm, gm))
+                work = work - g.times_term(lc / g.terms[gm], shift)
+                break
+        else:
+            rem[lm] = lc
+            work = work._like({m: c for m, c in work.terms.items() if m != lm})
+    return f._like(rem)

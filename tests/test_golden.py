@@ -13,7 +13,9 @@ Re-record (only when a change of output is intended) with
 
 The certificates do not cover ``--sample`` rows, which depend on the
 denominators the generic run over Q(alpha) inverts; those trails are pinned
-separately, in order, by ``test_denominator_trails_match_golden``.
+separately, in order, by ``test_denominator_trails_match_golden``.  Nor do
+they reach a long Buchberger run: ``test_groebner_stage_matches_golden`` pins
+the ``groebner`` stage of the LSA3-1 commutator with the search off.
 """
 
 import io
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from omlie.admissible import FULL, MODULE_ONLY, decide_admissible
+from omlie.algebra import commutator_algebra
 from omlie.catalog import instantiate
 from omlie.cli import run_command, theorem_targets
 from omlie.fields import QALPHA, RatFunc, track_denominators
@@ -126,6 +129,25 @@ def test_denominator_trails_match_golden(name, mode):
     with track_denominators() as trail:
         decide_admissible(L, mode=mode)
     assert [QALPHA.format(RatFunc(pol)) for pol in trail] == GOLDEN_TRAILS[(name, mode)]
+
+
+# The groebner certificate stage of the default-parameter LSA3-1 commutator
+# with the witness search off, per (mode, degree cap).  Every run hits the cap,
+# so the S-pair count records how far the Buchberger run got; module-only mode
+# at cap 4 is left out for its run time.
+GOLDEN_GROEBNER = {
+    (FULL, 3): {"generators": 18, "spairs": 30, "max_degree": 3, "cap_exceeded": True},
+    (FULL, 4): {"generators": 18, "spairs": 95, "max_degree": 4, "cap_exceeded": True},
+    (MODULE_ONLY, 3): {"generators": 18, "spairs": 20, "max_degree": 3, "cap_exceeded": True},
+}
+
+
+@pytest.mark.parametrize("mode,cap", sorted(GOLDEN_GROEBNER))
+def test_groebner_stage_matches_golden(mode, cap):
+    L = commutator_algebra(instantiate("LSA3-1"))
+    rep = decide_admissible(L, degree_cap=cap, mode=mode, witness_search_budget=0)
+    (stage,) = [st for st in rep.certificate if st["stage"] == "groebner"]
+    assert stage == {"stage": "groebner", "order": "degrevlex", **GOLDEN_GROEBNER[(mode, cap)]}
 
 
 if __name__ == "__main__":

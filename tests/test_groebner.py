@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
-from omlie.fields import QALPHA, QQ
+import pytest
+
+from omlie.fields import QALPHA, QQ, track_denominators
 from omlie.multipoly import (
     MPoly,
     buchberger,
@@ -11,7 +13,7 @@ from omlie.multipoly import (
     s_polynomial,
 )
 
-from oracles import random_fraction
+from oracles import normal_form_reference, random_fraction
 
 
 def mp(nvars, terms, field=QQ):
@@ -71,6 +73,43 @@ class TestNormalForm:
             r = normal_form(f, basis)
             assert normal_form(r, basis) == r
 
+    @pytest.mark.parametrize("field", [QQ, QALPHA], ids=["Q", "Qalpha"])
+    def test_matches_reference_division(self, field):
+        # Random divisor lists are not Groebner bases, so the remainder
+        # depends on the division order: this pins "largest monomial first,
+        # first divisor in list order", and over Q(alpha) the order in which
+        # denominators are inverted.
+        rng = random.Random(11)
+
+        def coeff():
+            r = field.coerce(random_fraction(rng, 3, 3))
+            if field is QQ:
+                return r
+            a = field.alpha
+            return (a * r + random_fraction(rng, 3, 3)) / (a + random_fraction(rng, 3, 3))
+
+        def rand_poly(nv, nterms, maxexp):
+            terms = {}
+            for _ in range(nterms):
+                terms[tuple(rng.randint(0, maxexp) for _ in range(nv))] = coeff()
+            return mp(nv, terms, field)
+
+        for _ in range(40):
+            nv = rng.randint(1, 3)
+            f = rand_poly(nv, rng.randint(0, 8), 3)
+            basis = [rand_poly(nv, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 4))]
+            g = basis[0]
+            if g:  # a divisor with the same lead, listed after the first
+                basis.append(g.scale(2) + MPoly.const(field, nv, coeff()))
+            basis.insert(rng.randint(0, len(basis)), MPoly.zero(field, nv))
+            with track_denominators() as want_trail:
+                want = normal_form_reference(f, basis)
+            with track_denominators() as got_trail:
+                got = normal_form(f, basis)
+            assert got == want
+            assert got_trail == want_trail
+        assert not normal_form(MPoly.zero(field, 2), [mp(2, {(1, 0): 1}, field)])
+
 
 def _staircase_count(basis, bound=8):
     """Monomials not divisible by any lead monomial (finite iff zero-dim)."""
@@ -122,6 +161,18 @@ class TestBuchberger:
         res = buchberger([p0 * p0 - p1, p1 * p1 - p0], degree_cap=1)
         assert res.cap_exceeded
         assert contains_one(res) is None
+
+    def test_coprime_leads_do_not_trip_the_cap(self):
+        # Each input is already a Groebner basis: its only pair has coprime
+        # leads, so no S-polynomial needs reducing and the cap is not reached.
+        p0, p1 = var(0, 2), var(1, 2)
+        one = MPoly.const(QQ, 2, 1)
+        quartics = [p0 * p0 * p0 * p0, p1 * p1 * p1 * p1]
+        for gens, cap in ((quartics, 6), ([p0, p1 - one], 1)):
+            res = buchberger(gens, degree_cap=cap)
+            assert not res.cap_exceeded
+            assert res.spairs_processed == 0
+            assert set(res.basis) == set(gens)
 
     def test_determinism_and_canonical_basis(self):
         p0, p1, p2 = (var(i, 3) for i in range(3))
@@ -175,3 +226,40 @@ def test_criterion_on_random_ideals():
         _assert_buchberger_criterion(res.basis)
         for g in gens:
             assert not normal_form(g, list(res.basis))
+
+
+def test_reduced_basis_matches_sympy_on_random_ideals():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    compared = 0
+    for _ in range(40):
+        nv = rng.randint(2, 3)
+        # Generators vanishing at a common rational point span a proper ideal,
+        # so most bases are larger than {1}.
+        point = [random_fraction(rng, 3, 3) for _ in range(nv)]
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                terms[tuple(rng.randint(0, 2) for _ in range(nv))] = random_fraction(rng, 3, 3)
+            g = mp(nv, terms)
+            gens.append(g - MPoly.const(QQ, nv, g.evaluate(point)))
+        gens = [g for g in gens if g]
+        if not gens:
+            continue
+        res = buchberger(gens, degree_cap=6)
+        if res.cap_exceeded:
+            continue
+        # sympy's grevlex on x0, x1, ... is degrevlex with x0 > x1 > ...
+        xs = sympy.symbols(f"x0:{nv}")
+        polys = [
+            sympy.Poly.from_dict({m: sympy.Rational(str(c)) for m, c in g.terms.items()}, *xs)
+            for g in gens
+        ]
+        theirs = sympy.groebner(polys, *xs, order="grevlex", domain="QQ")
+        want = {
+            mp(nv, {m: Fraction(str(c)) for m, c in p.terms()}).monic() for p in theirs.polys
+        }
+        assert set(res.basis) == want
+        compared += 1
+    assert compared >= 25
