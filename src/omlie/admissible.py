@@ -62,26 +62,27 @@ def _var(n: int, i: int, r: int, c: int) -> int:
     return (i * n + r) * n + c
 
 
-def compatibility_constraints(L: OmegaLieAlgebra):
-    """Linear system M_i e_j - M_j e_i = [e_i, e_j] for all pairs i < j."""
+def compatibility_constraints(L: OmegaLieAlgebra) -> list[dict]:
+    """Sparse rows over the n^3 coordinates, right-hand side at column n^3:
+    M_i e_j - M_j e_i = [e_i, e_j] for all pairs i < j."""
     n = L.dim
-    field = L.field
-    zero, one = field.zero, field.one
+    one = L.field.one
     N = n * n * n
-    rows, rhs = [], []
+    rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                row = [zero] * N
-                row[_var(n, i, k, j)] = one
-                row[_var(n, j, k, i)] = -one
+                row = {_var(n, i, k, j): one, _var(n, j, k, i): -one}
+                rhs = L.bracket.entry(i, j, k)
+                if rhs:
+                    row[N] = rhs
                 rows.append(row)
-                rhs.append(L.bracket.entry(i, j, k))
-    return Matrix(field, rows, ncols=N), tuple(rhs)
+    return rows
 
 
-def jacobi_consequence_constraints(L: OmegaLieAlgebra):
-    """Per basis triple: the matrix equation l_w = s * id.
+def jacobi_consequence_constraints(L: OmegaLieAlgebra) -> list[dict]:
+    """Per basis triple: the matrix equation l_w = s * id, as sparse rows over
+    the n^3 coordinates with the right-hand side at column n^3.
 
     Substituting the module identity into the Jacobi identity of the unknown
     operators turns each triple (i, j, k) into a linear constraint with
@@ -95,7 +96,7 @@ def jacobi_consequence_constraints(L: OmegaLieAlgebra):
     units = [
         tuple(field.one if m == t else zero for m in range(n)) for t in range(n)
     ]
-    rows, rhs = [], []
+    rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -112,13 +113,11 @@ def jacobi_consequence_constraints(L: OmegaLieAlgebra):
                     continue
                 for r in range(n):
                     for c in range(n):
-                        row = [zero] * N
-                        for m, wm in enumerate(w):
-                            if wm:
-                                row[_var(n, m, r, c)] = wm
+                        row = {_var(n, m, r, c): wm for m, wm in enumerate(w) if wm}
+                        if r == c and s:
+                            row[N] = s
                         rows.append(row)
-                        rhs.append(s if r == c else zero)
-    return Matrix(field, rows, ncols=N), tuple(rhs)
+    return rows
 
 
 def _symbolic_operators(L: OmegaLieAlgebra, space: AffineSpace):
@@ -144,7 +143,7 @@ def _symbolic_operators(L: OmegaLieAlgebra, space: AffineSpace):
                 if o:
                     terms[const_mono] = o
                 for t in range(d):
-                    b = space.basis[t][v]
+                    b = space.basis[t].get(v)
                     if b:
                         terms[unit_monos[t]] = b
                 row.append(MPoly(field, d, terms))
@@ -281,7 +280,7 @@ def propagate(L: OmegaLieAlgebra, mode: str = FULL) -> PropagationResult:
     """
     mode = _normalize_mode(mode)
     trace: list[dict] = []
-    space = solve_affine(*jacobi_consequence_constraints(L))
+    space = solve_affine(L.field, jacobi_consequence_constraints(L), L.dim**3)
     trace.append({"stage": "jacobi_consequences", "dim": space.dim})
     if mode == FULL and space.feasible:
         space = intersect(space, compatibility_constraints(L))

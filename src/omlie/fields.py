@@ -255,7 +255,8 @@ def track_denominators():
     try:
         yield trail
     finally:
-        _DENOM_TRAILS.remove(trail)
+        # by identity: nested trails can be equal lists
+        _DENOM_TRAILS[:] = [t for t in _DENOM_TRAILS if t is not trail]
 
 
 def _record_inversion(num: Poly):

@@ -1,12 +1,17 @@
 """Exact linear algebra over either scalar field.
 
-Every elimination is :func:`eliminate`: Gauss-Jordan on sparse rows
-(``{column: nonzero entry}``) pivoting left to right on the first remaining row
-(exact arithmetic needs no magnitude pivoting); ``rref`` is its dense view.
-Affine spaces are kept in a canonical form (basis rows in RREF, origin reduced
-against them) so that equal solution sets compare equal syntactically; the
-propagation loop in the admissibility decider relies on that for fixed-point
-detection.
+Linear systems have one format: a list of sparse rows ``{column: entry}`` over
+n unknowns, with the right-hand side at column n; entries are field elements
+and zeros may be left out.  :func:`solve_affine`, :func:`intersect` and
+:meth:`AffineSpace.restrict` take it, and :class:`AffineSpace` keeps its basis
+in it.  Every elimination is
+:func:`eliminate`: Gauss-Jordan on such rows, pivoting left to right on the
+first remaining row (exact arithmetic needs no magnitude pivoting).  The dense
+:class:`Matrix` serves the n x n operators; ``rref`` and ``invert`` are its
+views of the same routine.  Affine spaces are kept in a canonical form (basis
+rows in RREF, origin reduced against them) so that equal solution sets compare
+equal syntactically; the propagation loop in the admissibility decider relies
+on that for fixed-point detection.
 """
 
 from __future__ import annotations
@@ -72,9 +77,6 @@ class Matrix:
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             ncols=self.ncols,
         )
-
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.rows], ncols=self.ncols)
 
     def scale(self, s) -> "Matrix":
         s = self.field.coerce(s)
@@ -182,20 +184,13 @@ def _sparse(field: Field, vec) -> dict:
     return {j: x for j, x in enumerate(map(field.coerce, vec)) if x}
 
 
-def _dense(field: Field, row: dict, n: int) -> tuple:
-    return tuple(row.get(j, field.zero) for j in range(n))
-
-
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (rref matrix, rank, pivot columns)."""
     field = m.field
     rows, pivots = eliminate(field, [_sparse(field, row) for row in m.rows])
-    dense = [_dense(field, row, m.ncols) for row in rows + [{}] * (m.nrows - len(rows))]
+    rows += [{}] * (m.nrows - len(rows))
+    dense = [[row.get(j, field.zero) for j in range(m.ncols)] for row in rows]
     return Matrix(field, dense, ncols=m.ncols), len(pivots), tuple(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[1]
 
 
 def invert(m: Matrix) -> Matrix:
@@ -210,47 +205,41 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(field, [[row.get(n + j, field.zero) for j in range(n)] for row in rows], ncols=n)
 
 
-def _null_space(field: Field, rows, pivots, n: int) -> list[tuple]:
-    """Kernel basis of the first n columns of reduced sparse rows, one vector
-    per free column (canonical)."""
+def _null_space(field: Field, rows, pivots, n: int) -> list[dict]:
+    """Kernel basis of the first n columns of reduced sparse rows, one sparse
+    vector per free column (canonical)."""
     pivot_set = set(pivots)
-    out = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [field.zero] * n
-        v[f] = field.one
-        for row, pc in zip(rows, pivots):
-            if f in row:
-                v[pc] = -row[f]
-        out.append(tuple(v))
+    vectors = {f: {f: field.one} for f in range(n) if f not in pivot_set}
+    for row, pc in zip(rows, pivots):
+        for c, v in row.items():
+            if c in vectors:
+                vectors[c][pc] = -v
+    return list(vectors.values())
+
+
+def _combine(coeffs, vectors) -> dict:
+    """Sparse sum of t * vectors[k] over the (k, t) pairs."""
+    out = {}
+    for k, t in coeffs:
+        if t:
+            for j, v in vectors[k].items():
+                out[j] = out[j] + t * v if j in out else t * v
     return out
 
 
-def kernel_basis(m: Matrix) -> list[tuple]:
-    """Basis of the right kernel, derived from the RREF (canonical)."""
-    rows, pivots = eliminate(m.field, [_sparse(m.field, row) for row in m.rows])
-    return _null_space(m.field, rows, pivots, m.ncols)
-
-
-def _combine(start, coeffs, vectors) -> tuple:
-    """start + sum of t * v over the paired coefficients and vectors."""
-    out = list(start)
-    for t, vec in zip(coeffs, vectors):
-        if not t:
-            continue
-        for j, v in enumerate(vec):
-            if v:
-                out[j] = out[j] + t * v
-    return tuple(out)
+def _check_columns(rows, n: int):
+    for row in rows:
+        if row and not (0 <= min(row) and max(row) <= n):
+            raise ValueError(f"row {row!r} has a column outside 0..{n}")
 
 
 class AffineSpace:
     """Affine solution set origin + span(basis), or the infeasible marker.
 
-    Canonical form: basis rows are the RREF of their span and the origin has
-    zero entries in every basis pivot column.  Two AffineSpace objects describe
-    the same set of points iff they compare equal.
+    The origin is a dense tuple; the basis rows are sparse.  Canonical form:
+    basis rows are the RREF of their span and the origin has zero entries in
+    every basis pivot column.  Two AffineSpace objects describe the same set
+    of points iff they compare equal.
     """
 
     __slots__ = ("field", "ambient_dim", "origin", "basis")
@@ -266,23 +255,16 @@ class AffineSpace:
         return cls(field, ambient_dim, None, ())
 
     @classmethod
-    def full(cls, field: Field, ambient_dim: int) -> "AffineSpace":
-        origin = (field.zero,) * ambient_dim
-        return cls(field, ambient_dim, origin, Matrix.identity(field, ambient_dim).rows)
-
-    @classmethod
-    def make(cls, field: Field, origin, basis_vectors) -> "AffineSpace":
-        """Canonicalise an (origin, spanning vectors) description."""
-        n = len(origin)
+    def make(cls, field: Field, origin, vectors) -> "AffineSpace":
+        """Canonicalise an (origin, spanning sparse vectors) description."""
         origin = [field.coerce(v) for v in origin]
-        rows, pivots = eliminate(field, [_sparse(field, v) for v in basis_vectors])
+        rows, pivots = eliminate(field, vectors)
         for row, pc in zip(rows, pivots):
             c = origin[pc]
             if c:
                 for j, v in row.items():
                     origin[j] = origin[j] - c * v
-        basis = tuple(_dense(field, row, n) for row in rows)
-        return cls(field, n, tuple(origin), basis)
+        return cls(field, len(origin), tuple(origin), tuple(rows))
 
     @property
     def feasible(self) -> bool:
@@ -315,7 +297,8 @@ class AffineSpace:
         """Point of the space for given parameter values."""
         if not self.feasible:
             raise ValueError("infeasible space has no points")
-        return _combine(self.origin, params, self.basis)
+        delta = _combine(enumerate(params), self.basis)
+        return tuple(o + delta[j] if j in delta else o for j, o in enumerate(self.origin))
 
     def contains(self, point) -> bool:
         return self.feasible and AffineSpace.make(self.field, point, self.basis) == self
@@ -335,18 +318,17 @@ class AffineSpace:
         ``{parameter: coefficient}`` with the right-hand side at column ``dim``."""
         if not self.feasible or not rows:
             return self
-        tsol = _solve(self.field, rows, self.dim)
+        tsol = solve_affine(self.field, rows, self.dim)
         if not tsol.feasible:
             return AffineSpace.infeasible(self.field, self.ambient_dim)
-        origin = self.at(tsol.origin)
-        zero = (self.field.zero,) * self.ambient_dim
-        directions = [_combine(zero, tau, self.basis) for tau in tsol.basis]
-        return AffineSpace.make(self.field, origin, directions)
+        directions = [_combine(tau.items(), self.basis) for tau in tsol.basis]
+        return AffineSpace.make(self.field, self.at(tsol.origin), directions)
 
 
-def _solve(field: Field, rows, n: int) -> AffineSpace:
+def solve_affine(field: Field, rows, n: int) -> AffineSpace:
     """Solution set in n unknowns of sparse rows with the right-hand side at
     column n (infeasible is a value)."""
+    _check_columns(rows, n)
     rows, pivots = eliminate(field, rows)
     if pivots and pivots[-1] == n:
         return AffineSpace.infeasible(field, n)
@@ -356,36 +338,33 @@ def _solve(field: Field, rows, n: int) -> AffineSpace:
     return AffineSpace.make(field, origin, _null_space(field, rows, pivots, n))
 
 
-def solve_affine(a: Matrix, b) -> AffineSpace:
-    """Full solution set of a x = b as an AffineSpace (infeasible is a value)."""
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    field = a.field
-    rows = [_sparse(field, (*row, bv)) for row, bv in zip(a.rows, b)]
-    return _solve(field, rows, a.ncols)
+def intersect(space: AffineSpace, rows) -> AffineSpace:
+    """Points of ``space`` also satisfying sparse rows over its ambient
+    coordinates, with the right-hand side at column ``space.ambient_dim``.
 
-
-def _dot(field: Field, pairs, vec):
-    """Sum of x * vec[j] over the (j, x) pairs."""
-    return sum((x * vec[j] for j, x in pairs), field.zero)
-
-
-def intersect(space: AffineSpace, constraints) -> AffineSpace:
-    """Points of ``space`` additionally satisfying ``constraints = (A, b)``.
-
-    The constraints are rewritten in the space's parameters, solved there and
-    the result re-expanded to ambient coordinates.
+    The rows are rewritten in the space's parameters, solved there and the
+    result re-expanded to ambient coordinates.
     """
-    a, b = constraints
-    if a.nrows == 0 or not space.feasible:
+    n = space.ambient_dim
+    _check_columns(rows, n)
+    if not rows or not space.feasible:
         return space
-    if a.ncols != space.ambient_dim:
-        raise ValueError("constraint width does not match ambient dimension")
-    field = space.field
-    rows = []
-    for crow, bv in zip(a.rows, b):
-        nz = [(j, x) for j, x in enumerate(crow) if x]
-        row = {t: _dot(field, nz, bvec) for t, bvec in enumerate(space.basis)}
-        row[space.dim] = field.coerce(bv) - _dot(field, nz, space.origin)
-        rows.append(row)
-    return space.restrict(rows)
+    zero, origin = space.field.zero, space.origin
+    by_column = {}  # ambient column -> [(parameter, basis entry)]
+    for t, vec in enumerate(space.basis):
+        for j, v in vec.items():
+            by_column.setdefault(j, []).append((t, v))
+    prows = []
+    for row in rows:
+        prow = {}
+        rhs = row.get(n, zero)
+        for j, x in row.items():
+            if j == n:
+                continue
+            if origin[j]:
+                rhs = rhs - x * origin[j]
+            for t, v in by_column.get(j, ()):
+                prow[t] = prow[t] + x * v if t in prow else x * v
+        prow[space.dim] = rhs
+        prows.append(prow)
+    return space.restrict(prows)

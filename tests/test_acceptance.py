@@ -199,7 +199,7 @@ def test_a5_decider_self_consistency(theorem_run):
         assert full.space.feasible and module.space.feasible
         assert module.space.contains(full.space.origin)
         for vec in full.space.basis:
-            point = tuple(o + v for o, v in zip(full.space.origin, vec))
+            point = tuple(o + vec.get(j, 0) for j, o in enumerate(full.space.origin))
             assert module.space.contains(point)
 
     # generic Q(alpha) verdicts equal the sampled-alpha verdicts

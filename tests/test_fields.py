@@ -123,6 +123,15 @@ def test_track_denominators_records_inversions():
     assert trail == []
 
 
+def test_nested_track_denominators_keep_the_outer_trail():
+    # both trails are empty, hence equal, when the inner block exits
+    with track_denominators() as outer:
+        with track_denominators() as inner:
+            pass
+        _ = QALPHA.one / RatFunc(P(-2, 1))
+    assert inner == [] and outer == [P(-2, 1)]
+
+
 class TestScalarParsing:
     def test_literals(self):
         assert QQ.parse("-17") == Fraction(-17)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from omlie.fields import QALPHA, QQ
+from omlie.fields import QALPHA, QQ, Poly
 from omlie.linalg import AffineSpace, Matrix, intersect, invert, rref, solve_affine
 
 from oracles import random_fraction
@@ -50,9 +50,8 @@ class TestRref:
             nr, nc = rng.randint(1, 5), rng.randint(1, 5)
             m = M([[random_fraction(rng) for _ in range(nc)] for _ in range(nr)])
             _, rk, piv = rref(m)
-            from omlie.linalg import kernel_basis
-
-            assert rk + len(kernel_basis(m)) == nc
+            rows = [dict(enumerate(row)) for row in m.rows]
+            assert rk + solve_affine(QQ, rows, nc).dim == nc
 
 
 def _sparse_random_rows(rng, nr, nc):
@@ -90,18 +89,18 @@ def test_rref_matches_sympy_on_sparse_random_matrices():
 
 class TestSolveAffine:
     def test_unique_point(self):
-        s = solve_affine(Matrix.identity(QQ, 2), (1, 2))
+        s = solve_affine(QQ, [{0: 1, 2: 1}, {1: 1, 2: 2}], 2)
         assert s.feasible and s.is_point
         assert s.origin == (Fraction(1), Fraction(2))
         assert s.basis == ()
 
     def test_one_dimensional_kernel(self):
-        s = solve_affine(M([[1, 1]]), (0,))
+        s = solve_affine(QQ, [{0: 1, 1: 1}], 2)
         assert s.origin == (Fraction(0), Fraction(0))
-        assert s.basis == ((Fraction(1), Fraction(-1)),)
+        assert s.basis == ({0: Fraction(1), 1: Fraction(-1)},)
 
     def test_contradictory_rows(self):
-        s = solve_affine(M([[1], [1]]), (0, 1))
+        s = solve_affine(QQ, [{0: 1}, {0: 1, 1: 1}], 1)
         assert not s.feasible
         assert s.dim == -1
 
@@ -112,7 +111,7 @@ class TestSolveAffine:
             a = M([[random_fraction(rng) for _ in range(nc)] for _ in range(nr)])
             x0 = [random_fraction(rng) for _ in range(nc)]
             b = a.apply(x0)
-            s = solve_affine(a, b)
+            s = solve_affine(QQ, [dict(enumerate((*row, bv))) for row, bv in zip(a.rows, b)], nc)
             assert s.feasible and s.contains(x0)
             for _ in range(4):
                 pt = s.sample(rng)
@@ -121,31 +120,91 @@ class TestSolveAffine:
 
 class TestIntersect:
     def test_empty_constraints_leave_space_unchanged(self):
-        s = solve_affine(M([[1, 1, 0]]), (3,))
-        t = intersect(s, (M([], ncols=3), ()))
+        s = solve_affine(QQ, [{0: 1, 1: 1, 3: 3}], 3)
+        t = intersect(s, [])
         assert t == s
 
     def test_two_hyperplanes_pin_a_point(self):
-        s = AffineSpace.full(QQ, 2)
-        s = intersect(s, (M([[1, 0]]), (1,)))
-        s = intersect(s, (M([[0, 1]]), (2,)))
+        s = solve_affine(QQ, [], 2)
+        s = intersect(s, [{0: 1, 2: 1}])
+        s = intersect(s, [{1: 1, 2: 2}])
         assert s.is_point and s.origin == (Fraction(1), Fraction(2))
 
     def test_line_meets_coordinate_plane(self):
-        line = AffineSpace.make(QQ, (0, 0), [(1, -1)])  # {(t, -t)}
-        pt = intersect(line, (M([[1, 0]]), (3,)))
+        line = AffineSpace.make(QQ, (0, 0), [{0: 1, 1: -1}])  # {(t, -t)}
+        pt = intersect(line, [{0: 1, 2: 3}])
         assert pt.is_point and pt.origin == (Fraction(3), Fraction(-3))
 
     def test_infeasible_intersection(self):
-        line = AffineSpace.make(QQ, (0, 0), [(1, -1)])
-        out = intersect(line, (M([[1, 1]]), (5,)))
+        line = AffineSpace.make(QQ, (0, 0), [{0: 1, 1: -1}])
+        out = intersect(line, [{0: 1, 1: 1, 2: 5}])
         assert not out.feasible
 
     def test_canonical_equality_of_equal_sets(self):
         # same line described two ways
-        s1 = AffineSpace.make(QQ, (1, -1), [(2, -2)])
-        s2 = AffineSpace.make(QQ, (5, -5), [(-7, 7)])
+        s1 = AffineSpace.make(QQ, (1, -1), [{0: 2, 1: -2}])
+        s2 = AffineSpace.make(QQ, (5, -5), [{0: -7, 1: 7}])
         assert s1 == s2
+
+
+def _random_scalar(rng, field):
+    """A nonzero element; over Q(alpha) a genuine rational function."""
+    x = random_fraction(rng) or Fraction(1)
+    if field is QQ:
+        return x
+    num = QALPHA.coerce(Poly((x, random_fraction(rng))))
+    return num / QALPHA.coerce(Poly((rng.randint(1, 3), 1))) if num else QALPHA.one
+
+
+def _random_system(rng, field, point, nrows):
+    """Sparse rows in len(point) unknowns (right-hand side at column n) that
+    the point satisfies."""
+    n = len(point)
+    rows = []
+    for _ in range(nrows):
+        row = {c: _random_scalar(rng, field) for c in rng.sample(range(n), rng.randint(1, min(4, n)))}
+        rhs = sum((v * point[c] for c, v in row.items()), field.zero)
+        if rhs:
+            row[n] = rhs
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, QALPHA], ids=["Q", "Qalpha"])
+def test_intersect_matches_one_shot_solve(field):
+    rng = random.Random(31)
+    for trial in range(24):
+        n = rng.randint(1, 6)
+        point = [field.coerce(random_fraction(rng)) for _ in range(n)]
+        a = _random_system(rng, field, point, rng.randint(0, n))
+        kind = trial % 3
+        if kind == 0:  # empty
+            b = []
+        elif kind == 1:  # feasible
+            b = _random_system(rng, field, point, rng.randint(1, n))
+        else:  # infeasible: one row repeated with a shifted right-hand side
+            b = _random_system(rng, field, point, rng.randint(1, n))
+            row = dict(rng.choice(b))
+            row[n] = row.get(n, field.zero) + field.one
+            b.insert(rng.randint(0, len(b)), row)
+        got = intersect(solve_affine(field, a, n), b)
+        want = solve_affine(field, a + b, n)
+        assert got == want
+        assert got.feasible == (kind != 2)
+
+
+def test_columns_outside_range_rejected():
+    with pytest.raises(ValueError):
+        solve_affine(QQ, [{0: 1, 3: 1}], 2)
+    with pytest.raises(ValueError):
+        solve_affine(QQ, [{-1: 1, 2: 1}], 2)
+    plane = solve_affine(QQ, [], 2)
+    with pytest.raises(ValueError):
+        intersect(plane, [{0: 1}, {5: 1}])
+    with pytest.raises(ValueError):
+        intersect(plane, [{-1: 1}])
+    with pytest.raises(ValueError):
+        plane.restrict([{0: 1, 3: 1}])
 
 
 def test_invert_and_singular():
