@@ -217,13 +217,9 @@ def _harvest_linear(residuals, d, field, with_products):
     col_of = {m: idx for idx, m in enumerate(high)}
     for t in range(d + 1):  # the parameters' columns, then the constant's at nhigh + d
         col_of[tuple(int(j == t) for j in range(d))] = nhigh + t
-    rows, pivots = eliminate(field, [{col_of[m]: c for m, c in p.terms.items()} for p in polys])
+    rows, _ = eliminate(field, [{col_of[m]: c for m, c in p.terms.items()} for p in polys], nhigh)
     # Shift to parameter columns; the constant column becomes the right-hand side.
-    return [
-        {c - nhigh: -v if c == nhigh + d else v for c, v in row.items()}
-        for row, pc in zip(rows, pivots)
-        if pc >= nhigh
-    ]
+    return [{c - nhigh: -v if c == nhigh + d else v for c, v in row.items()} for row in rows]
 
 
 @dataclass

@@ -6,7 +6,10 @@ and zeros may be left out.  :func:`solve_affine`, :func:`intersect` and
 :meth:`AffineSpace.restrict` take it, and :class:`AffineSpace` keeps its basis
 in it.  Every elimination is
 :func:`eliminate`: Gauss-Jordan on such rows, pivoting left to right on the
-first remaining row (exact arithmetic needs no magnitude pivoting).  The dense
+first remaining row (exact arithmetic needs no magnitude pivoting).  It keeps
+an index from each column to the rows holding it, so a pivot touches only the
+rows it reduces; with ``keep_from`` it returns only the rows whose pivot is at
+or after that column, and never back-substitutes into the others.  The dense
 :class:`Matrix` serves the n x n operators; ``rref`` and ``invert`` are its
 views of the same routine.  Affine spaces are kept in a canonical form (basis
 rows in RREF, origin reduced against them) so that equal solution sets compare
@@ -135,7 +138,7 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}]({body})"
 
 
-def eliminate(field: Field, rows):
+def eliminate(field: Field, rows, keep_from: int = 0):
     """Gauss-Jordan elimination of sparse rows, each a ``{column: entry}`` dict.
 
     Returns (reduced nonzero rows, pivot columns) in pivot order; the rows are
@@ -143,40 +146,73 @@ def eliminate(field: Field, rows):
     first remaining row holding it, the pivot row swapping places with the
     first remaining row.  That order fixes which entries get inverted, and
     with them the denominators ``track_denominators`` records for rejecting
-    sampled alpha values.  Zero entries in the input are ignored; the input
-    rows are not modified.
+    sampled alpha values.  An index from each column to the positions of the
+    rows holding it is kept as entries appear and cancel, so each pivot
+    visits only the rows it reduces.
+
+    With ``keep_from`` > 0 only the rows whose pivot column is at least
+    ``keep_from`` are returned (with their pivots): the RREF of the part of
+    the span with no entry below ``keep_from``.  A pivot column below
+    ``keep_from`` reduces only the rows after it, and its row is dropped, so
+    no back-substitution goes into rows that are not returned; pivots,
+    inversions and the returned rows are those of the full elimination.
+    Zero entries in the input are ignored; the input rows are not modified.
     """
     one = field.one
     rows = [{c: v for c, v in row.items() if v} for row in rows]
     lead = [min(row, default=inf) for row in rows]
+    holders = {}  # column -> positions of the live rows holding it
+    for r, row in enumerate(rows):
+        for c in row:
+            if c in holders:
+                holders[c].add(r)
+            else:
+                holders[c] = {r}
     pivots = []
+    first_kept = 0
     for pr in range(len(rows)):
         pc = min(lead[pr:])
         if pc == inf:
             break
         pivot = lead.index(pc, pr)
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        lead[pr], lead[pivot] = lead[pivot], lead[pr]
+        if pivot != pr:
+            a, b = rows[pr], rows[pivot]
+            for c in a.keys() ^ b.keys():  # held by one of the two: move it
+                holders[c] ^= {pr, pivot}
+            rows[pr], rows[pivot] = b, a
+            lead[pr], lead[pivot] = lead[pivot], lead[pr]
         prow = rows[pr]
         pv = prow[pc]
         if pv != one:
             inv = one / pv
             for c in prow:
                 prow[c] = prow[c] * inv
-        for r, row in enumerate(rows):
-            f = row.get(pc) if r != pr else None
-            if f is None:
-                continue
-            for c, v in prow.items():
-                x = row[c] - f * v if c in row else -(f * v)
-                if x:
-                    row[c] = x
+        targets = holders.pop(pc)
+        targets.discard(pr)
+        if pc < keep_from:  # this row is not returned: nothing reduces it again
+            first_kept = pr + 1
+            for c in prow:
+                if c != pc:
+                    holders[c].remove(pr)
+        rest = [(c, v) for c, v in prow.items() if c != pc]
+        for r in targets:
+            row = rows[r]
+            f = row.pop(pc)
+            for c, v in rest:
+                if c in row:
+                    x = row[c] - f * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                        holders[c].remove(r)
                 else:
-                    del row[c]
+                    row[c] = -(f * v)
+                    holders[c].add(r)
             if r > pr:
                 lead[r] = min(row, default=inf)
         pivots.append(pc)
-    return rows[: len(pivots)], pivots
+    return rows[first_kept : len(pivots)], pivots[first_kept:]
 
 
 def _sparse(field: Field, vec) -> dict:

@@ -8,7 +8,8 @@ arithmetic.
 
 Division (``normal_form``) reduces in one mutable term dict whose pending
 monomials sit in a heap, largest first, and reads each divisor's lead once
-per call; Buchberger keeps each basis element's lead beside it.  No step
+per call; Buchberger keeps each basis element's (lead, lead coefficient,
+terms) triple beside it and divides by those triples directly.  No step
 rescans a whole polynomial to find its lead.
 
 Selection strategy and all tie-breaks are deterministic (normal strategy:
@@ -251,15 +252,21 @@ def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     return tf - tg
 
 
+def _divisor(g: MPoly):
+    """The (lead monomial, lead coefficient, terms) triple division reads."""
+    gm = g.lead_monomial()
+    return gm, g.terms[gm], g.terms
+
+
 def normal_form(f: MPoly, basis) -> MPoly:
     """Remainder of f on division by the basis: the largest pending monomial
     is reduced first, by the first divisor in list order whose lead divides it.
     """
-    divisors = []
-    for g in basis:
-        if g:
-            gm = g.lead_monomial()
-            divisors.append((gm, g.terms[gm], g.terms))
+    return _reduce(f, [_divisor(g) for g in basis if g])
+
+
+def _reduce(f: MPoly, divisors) -> MPoly:
+    """``normal_form`` over divisors given as ``_divisor`` triples, in order."""
     work = dict(f.terms)
     heap = [(_degrevlex_desc_key(m), m) for m in work]
     heapq.heapify(heap)
@@ -339,13 +346,15 @@ def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
         return GroebnerResult((), False, spairs, maxdeg)
     if maxdeg > degree_cap:
         return GroebnerResult(None, True, spairs, maxdeg)
-    leads = [p.lead_monomial() for p in G]
+    divisors = [_divisor(p) for p in G]
     heap: list[tuple[int, int, int]] = []
 
     def add_pairs(k):
+        lk = divisors[k][0]
         for t in range(k):
-            if not _mono_coprime(leads[t], leads[k]):
-                heapq.heappush(heap, (sum(_mono_lcm(leads[t], leads[k])), t, k))
+            lt = divisors[t][0]
+            if not _mono_coprime(lt, lk):
+                heapq.heappush(heap, (sum(_mono_lcm(lt, lk)), t, k))
 
     for k in range(len(G)):
         add_pairs(k)
@@ -354,7 +363,7 @@ def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
         if lcmdeg > degree_cap:
             return GroebnerResult(None, True, spairs, maxdeg)
         spairs += 1
-        h = normal_form(s_polynomial(G[i], G[j]), G)
+        h = _reduce(s_polynomial(G[i], G[j]), divisors)
         if not h:
             continue
         if h.degree() > degree_cap:
@@ -362,7 +371,7 @@ def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
         h = h.monic()
         maxdeg = max(maxdeg, h.degree())
         G.append(h)
-        leads.append(h.lead_monomial())
+        divisors.append(_divisor(h))
         add_pairs(len(G) - 1)
     return GroebnerResult(tuple(interreduce(G)), False, spairs, maxdeg)
 

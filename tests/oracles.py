@@ -6,6 +6,7 @@ double-check the unordered-triple reductions inside the package.
 """
 
 from itertools import product as iproduct
+from math import inf
 
 
 def _apply(tensor, u, v):
@@ -105,3 +106,41 @@ def normal_form_reference(f, basis):
             rem[lm] = lc
             work = work._like({m: c for m, c in work.terms.items() if m != lm})
     return f._like(rem)
+
+
+def eliminate_reference(field, rows):
+    """Gauss-Jordan elimination of sparse ``{column: entry}`` rows by the plain
+    loop: each pivot column is the smallest lead left, the pivot the first
+    remaining row holding it, swapped into place, and every row is probed for
+    the pivot column.  Returns (reduced nonzero rows, pivot columns)."""
+    one = field.one
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    lead = [min(row, default=inf) for row in rows]
+    pivots = []
+    for pr in range(len(rows)):
+        pc = min(lead[pr:])
+        if pc == inf:
+            break
+        pivot = lead.index(pc, pr)
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        lead[pr], lead[pivot] = lead[pivot], lead[pr]
+        prow = rows[pr]
+        pv = prow[pc]
+        if pv != one:
+            inv = one / pv
+            for c in prow:
+                prow[c] = prow[c] * inv
+        for r, row in enumerate(rows):
+            f = row.get(pc) if r != pr else None
+            if f is None:
+                continue
+            for c, v in prow.items():
+                x = row[c] - f * v if c in row else -(f * v)
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            if r > pr:
+                lead[r] = min(row, default=inf)
+        pivots.append(pc)
+    return rows[: len(pivots)], pivots

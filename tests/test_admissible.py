@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from omlie import admissible
 from omlie.admissible import (
     ADMISSIBLE,
     FULL,
@@ -30,9 +31,9 @@ from omlie.catalog import ALTERNATE_PARAMS, instantiate
 from omlie.cli import theorem_targets
 from omlie.errors import AxiomCheckError
 from omlie.fields import QALPHA, QQ
-from omlie.linalg import Matrix, solve_affine
+from omlie.linalg import Matrix, intersect, solve_affine
 
-from oracles import random_fraction
+from oracles import eliminate_reference, random_fraction
 
 
 def a_alpha(field=QALPHA, alpha=None):
@@ -407,3 +408,40 @@ def test_product_tensor_round_trip():
     L = commutator_algebra(A)
     point = left_mult_point(A)
     assert product_tensor_at(L, point) == A.product
+
+
+def _full_elimination(field, rows, keep_from=0):
+    """The reference loop's whole elimination, filtered to pivots from
+    ``keep_from`` on."""
+    rows, pivots = eliminate_reference(field, rows)
+    kept = [k for k, pc in enumerate(pivots) if pc >= keep_from]
+    return [rows[k] for k in kept], [pivots[k] for k in kept]
+
+
+def test_harvest_matches_full_elimination(monkeypatch):
+    # The harvest reduces only the echelon form of the quadratic block; its
+    # rows must be those of the whole RREF whose pivot is a parameter.  Each
+    # system is taken at the first harvest, at the fixed point and at the
+    # fixed point with its first parameter pinned, as the search pins it.
+    cases = [
+        (commutator_algebra(instantiate(family, {}, QQ)), mode)
+        for family in ("LSA3-1", "LSA3-2")
+        for mode in (FULL, MODULE_ONLY)
+    ] + [(abelian(QQ, 3), MODULE_ONLY)]
+    harvested = 0
+    for L, mode in cases:
+        first = solve_affine(QQ, jacobi_consequence_constraints(L), L.dim**3)
+        if mode == FULL:
+            first = intersect(first, compatibility_constraints(L))
+        fixed = propagate(L, mode).space
+        pinned = fixed.restrict([{0: QQ.one, fixed.dim: QQ.one}])
+        for space in (first, fixed, pinned):
+            residuals = module_identity_residuals(L, space)
+            for with_products in (False, True):
+                got = admissible._harvest_linear(residuals, space.dim, QQ, with_products)
+                with monkeypatch.context() as m:
+                    m.setattr(admissible, "eliminate", _full_elimination)
+                    want = admissible._harvest_linear(residuals, space.dim, QQ, with_products)
+                assert got == want
+                harvested += len(got)
+    assert harvested

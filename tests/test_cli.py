@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from omlie.fields import QQ
 from omlie.fileformat import parse_algebra_text
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
+SRC_PATH = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +284,19 @@ def test_negative_bounds_exit_2(capsys, tmp_path, argv):
 def test_usage_error_exit_code(capsys):
     assert run_command(["no-such-command"]) == 2
     assert run_command([]) == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_PATH), env.get("PYTHONPATH")]))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "omlie", *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=60)
+
+    missing = python_m("admissible", str(tmp_path / "missing.alg"))
+    assert missing.returncode == 2
+    assert "error:" in missing.stderr and "Traceback" not in missing.stderr
+    listing = python_m("catalog", "list")
+    assert listing.returncode == 0
+    assert json.loads(listing.stdout)["command"] == ["catalog", "list"]

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from omlie.fields import QALPHA, QQ, Poly
-from omlie.linalg import AffineSpace, Matrix, intersect, invert, rref, solve_affine
+from omlie.fields import QALPHA, QQ, Poly, track_denominators
+from omlie.linalg import AffineSpace, Matrix, eliminate, intersect, invert, rref, solve_affine
 
-from oracles import random_fraction
+from oracles import eliminate_reference, random_fraction
 
 
 def M(rows, field=QQ, ncols=None):
@@ -191,6 +191,95 @@ def test_intersect_matches_one_shot_solve(field):
         want = solve_affine(field, a + b, n)
         assert got == want
         assert got.feasible == (kind != 2)
+
+
+def _random_sparse_rows(rng, field, nr, nc):
+    """Sparse rows in shuffled order (so that pivots need swaps), among them
+    empty rows, rows of explicit zeros, duplicates and combinations of earlier
+    rows that cancel to zero during elimination."""
+    zero = field.zero
+    rows = []
+    for _ in range(nr):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif len(rows) >= 2 and kind < 0.35:
+            a, b = rng.sample(rows, 2)
+            s, t = _random_scalar(rng, field), _random_scalar(rng, field)
+            rows.append({c: s * a.get(c, zero) + t * b.get(c, zero) for c in a.keys() | b.keys()})
+        elif kind < 0.45:
+            rows.append({rng.randrange(nc): zero} if rng.random() < 0.5 else {})
+        else:
+            cols = rng.sample(range(nc), rng.randint(1, min(4, nc)))
+            rows.append({c: _random_scalar(rng, field) for c in cols})
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, QALPHA], ids=["Q", "Qalpha"])
+def test_eliminate_matches_reference_loop(field):
+    # Over Q(alpha) the trail pins which entries are inverted, in order: the
+    # pivot must be the first remaining row holding the column.  With
+    # keep_from the result is the full elimination's rows and pivots from
+    # keep_from on, after the same inversions.
+    rng = random.Random(41)
+    for _ in range(60):
+        nc = rng.randint(1, 8)
+        rows = _random_sparse_rows(rng, field, rng.randint(0, 10), nc)
+        before = [dict(row) for row in rows]
+        with track_denominators() as want_trail:
+            want_rows, want_pivots = eliminate_reference(field, rows)
+        for keep_from in sorted({0, rng.randint(1, nc), nc + 1}):
+            with track_denominators() as got_trail:
+                got_rows, got_pivots = eliminate(field, rows, keep_from)
+            kept = [k for k, pc in enumerate(want_pivots) if pc >= keep_from]
+            assert got_rows == [want_rows[k] for k in kept]
+            assert got_pivots == [want_pivots[k] for k in kept]
+            assert got_trail == want_trail
+        assert rows == before
+
+
+class _Tally:
+    """A rational that counts the multiplications made with it."""
+
+    products = 0
+
+    def __init__(self, v):
+        self.v = Fraction(v)
+
+    def __mul__(self, other):
+        _Tally.products += 1
+        return _Tally(self.v * other.v)
+
+    def __sub__(self, other):
+        return _Tally(self.v - other.v)
+
+    def __neg__(self):
+        return _Tally(-self.v)
+
+    def __truediv__(self, other):
+        return _Tally(self.v / other.v)
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, other):
+        return self.v == other.v
+
+
+def test_keep_from_skips_back_substitution_into_dropped_rows():
+    # Row 0 pivots on column 0 < keep_from and is dropped, so the pivot on
+    # column 1 must not be back-substituted into it.
+    one = _Tally(1)
+    field = type("TallyField", (), {"one": one})
+    rows = [{0: one, 1: one}, {1: one, 2: one}]
+    counts = []
+    for keep_from in (0, 1):
+        _Tally.products = 0
+        out, pivots = eliminate(field, rows, keep_from)
+        counts.append(_Tally.products)
+    assert pivots == [1] and [{c: v.v for c, v in row.items()} for row in out] == [{1: 1, 2: 1}]
+    assert counts == [1, 0]
 
 
 def test_columns_outside_range_rejected():
