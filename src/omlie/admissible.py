@@ -9,8 +9,12 @@ flattened to n^3 coordinates.  The decision pipeline is
      to reproduce the given bracket;
   2. propagation loop: the module-identity residuals on the current affine
      solution space are degree <= 2 polynomials in its free parameters; all
-     degree <= 1 members of their span (optionally enlarged by single-variable
-     multiples) are intersected back until a fixed point;
+     degree <= 1 members of their span are intersected back until a fixed
+     point.  When the span holds none and there are at most
+     ``PRODUCTS_DIM_LIMIT`` parameters, it is enlarged by the multiples of the
+     residuals by each parameter, taken as the multiples of the residuals'
+     echelon basis (same span, fewer rows), with the rows that alone hold a
+     degree >= 2 monomial left out (no degree <= 1 member can use them);
   3. endgame for the strictly quadratic leftovers: a budgeted search for a
      rational point (pin a parameter, re-propagate, recurse) settles the
      satisfiable cases constructively; whatever it cannot settle goes to a
@@ -23,6 +27,7 @@ Every step is deterministic, so certificates are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -203,21 +208,59 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[MP
     return out
 
 
+def _column_rows(polys, d):
+    """Term dicts as sparse rows over the harvest's columns: the monomials of
+    degree >= 2 in descending degrevlex order, then the d parameters, then the
+    constant.  Returns (rows, monomial of each column, number of degree >= 2
+    columns)."""
+    high = sorted({m for p in polys for m in p if sum(m) >= 2}, key=_degrevlex_desc_key)
+    # The parameters' columns, then the constant's (t = d gives the zero exponent).
+    monos = high + [tuple(int(j == t) for j in range(d)) for t in range(d + 1)]
+    col_of = {m: c for c, m in enumerate(monos)}
+    return [{col_of[m]: v for m, v in p.items()} for p in polys], monos, len(high)
+
+
+def _drop_lone_rows(rows, nhigh):
+    """Drop every row that alone holds some column below ``nhigh``, then do so
+    again on the rows left, until none is dropped: a combination with no entry
+    below ``nhigh`` cannot use such a row."""
+    while True:
+        count = Counter(c for row in rows for c in row if c < nhigh)
+        kept = [row for row in rows if all(count[c] > 1 for c in row if c < nhigh)]
+        if len(kept) == len(rows):
+            return rows
+        rows = kept
+
+
 def _harvest_linear(residuals, d, field, with_products):
     """All degree <= 1 rows in the span of the residuals (plus, optionally,
     their single-variable multiples), as sparse linear equations on the
-    parameters with the right-hand side at column d."""
-    polys = list(residuals)
+    parameters with the right-hand side at column d: the rows of the RREF
+    whose pivot is not a monomial of degree >= 2.
+
+    The decider asks for the multiples only when the plain span gives no row.
+    They are then taken of the residuals' echelon basis rather than of every
+    residual: the basis spans what the residuals span, so its multiples span
+    the same space, and the RREF and its degree <= 1 rows are the same.  Then
+    every row that alone holds some degree >= 2 monomial is dropped, over and
+    over until none is left: a combination free of degree >= 2 terms cannot
+    use such a row, so the harvest stays the same.  A degree <= 1 column never
+    drops a row, since those entries are what the harvest keeps.
+    """
+    polys = [p.terms for p in residuals]
     if with_products:
-        for p in residuals:
-            for t in range(d):
-                polys.append(p.shift_by_var(t))
-    high = sorted({m for p in polys for m in p.terms if sum(m) >= 2}, key=_degrevlex_desc_key)
-    nhigh = len(high)
-    col_of = {m: idx for idx, m in enumerate(high)}
-    for t in range(d + 1):  # the parameters' columns, then the constant's at nhigh + d
-        col_of[tuple(int(j == t) for j in range(d))] = nhigh + t
-    rows, _ = eliminate(field, [{col_of[m]: c for m, c in p.terms.items()} for p in polys], nhigh)
+        rows, monos, _ = _column_rows(polys, d)
+        echelon, _ = eliminate(field, rows)  # the plain harvest's pivots: no new inversion
+        polys = [{monos[c]: v for c, v in row.items()} for row in echelon]
+        polys += [
+            {m[:t] + (m[t] + 1,) + m[t + 1 :]: v for m, v in p.items()}
+            for p in polys
+            for t in range(d)
+        ]
+    rows, _, nhigh = _column_rows(polys, d)
+    if with_products:
+        rows = _drop_lone_rows(rows, nhigh)
+    rows, _ = eliminate(field, rows, nhigh)
     # Shift to parameter columns; the constant column becomes the right-hand side.
     return [{c - nhigh: -v if c == nhigh + d else v for c, v in row.items()} for row in rows]
 

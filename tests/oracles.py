@@ -144,3 +144,30 @@ def eliminate_reference(field, rows):
                 lead[r] = min(row, default=inf)
         pivots.append(pc)
     return rows[: len(pivots)], pivots
+
+
+def harvest_reference(residuals, d, field, with_products):
+    """The linear-consequence harvest by the plain loop: every residual and,
+    with products, every residual times every variable, eliminated whole by
+    :func:`eliminate_reference` over the columns degree >= 2 monomials
+    (descending degrevlex), parameters, constant.  Returns the rows whose pivot
+    is a parameter or the constant, as sparse rows on the parameters with the
+    right-hand side at column d."""
+    polys = list(residuals)
+    if with_products:
+        for p in residuals:
+            for t in range(d):
+                polys.append(p.shift_by_var(t))
+    high = sorted(
+        {m for p in polys for m in p.terms if sum(m) >= 2}, key=_degrevlex_key, reverse=True
+    )
+    nhigh = len(high)
+    col_of = {m: idx for idx, m in enumerate(high)}
+    for t in range(d + 1):  # the parameters' columns, then the constant's at nhigh + d
+        col_of[tuple(int(j == t) for j in range(d))] = nhigh + t
+    rows, pivots = eliminate_reference(
+        field, [{col_of[m]: c for m, c in p.terms.items()} for p in polys]
+    )
+    rows = [row for row, pc in zip(rows, pivots) if pc >= nhigh]
+    # Shift to parameter columns; the constant column becomes the right-hand side.
+    return [{c - nhigh: -v if c == nhigh + d else v for c, v in row.items()} for row in rows]

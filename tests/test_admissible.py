@@ -32,8 +32,9 @@ from omlie.cli import theorem_targets
 from omlie.errors import AxiomCheckError
 from omlie.fields import QALPHA, QQ
 from omlie.linalg import Matrix, intersect, solve_affine
+from omlie.multipoly import MPoly
 
-from oracles import eliminate_reference, random_fraction
+from oracles import eliminate_reference, harvest_reference, random_fraction
 
 
 def a_alpha(field=QALPHA, alpha=None):
@@ -443,5 +444,59 @@ def test_harvest_matches_full_elimination(monkeypatch):
                     m.setattr(admissible, "eliminate", _full_elimination)
                     want = admissible._harvest_linear(residuals, space.dim, QQ, with_products)
                 assert got == want
+                assert got == harvest_reference(residuals, space.dim, QQ, with_products)
                 harvested += len(got)
     assert harvested
+
+
+def test_product_harvests_along_the_search_match_reference(monkeypatch):
+    # Every product harvest the decider makes on its way, against the plain
+    # loop that multiplies every residual.  The product elimination gets at
+    # most the echelon basis of the residuals and its multiples by the d
+    # parameters: rank * (d + 1) rows.
+    harvest, eliminate = admissible._harvest_linear, admissible.eliminate
+    handed, calls = [], []
+
+    def counting_eliminate(field, rows, keep_from=0):
+        handed.append(len(rows))
+        return eliminate(field, rows, keep_from)
+
+    def recording_harvest(residuals, d, field, with_products):
+        handed.clear()
+        got = harvest(residuals, d, field, with_products)
+        if with_products:
+            calls.append((residuals, d, got, handed[-1]))
+        return got
+
+    monkeypatch.setattr(admissible, "eliminate", counting_eliminate)
+    monkeypatch.setattr(admissible, "_harvest_linear", recording_harvest)
+    L = commutator_algebra(instantiate("LSA3-1", {}, QQ))
+    for algebra, mode in ((L, FULL), (L, MODULE_ONLY), (abelian(QQ, 3), MODULE_ONLY)):
+        assert decide_admissible(algebra, mode=mode).verdict == ADMISSIBLE
+    monkeypatch.undo()
+    assert calls
+    for residuals, d, got, rows in calls:
+        assert got == harvest_reference(residuals, d, QQ, True)
+        column = {m: k for k, m in enumerate({m for p in residuals for m in p.terms})}
+        rows_in = [{column[m]: c for m, c in p.terms.items()} for p in residuals]
+        assert rows <= len(eliminate_reference(QQ, rows_in)[1]) * (d + 1)
+    assert sum(1 for _, _, got, _ in calls if got) >= 2
+
+
+def test_drop_lone_rows_runs_to_a_fixed_point():
+    one = QQ.one
+    # Columns 0-2 are degree >= 2 monomials, 3-4 parameters, 5 the constant.
+    rows = [
+        {0: one, 1: one},  # alone on column 0
+        {1: one, 2: one, 3: one},  # alone on column 1 once the row above is gone
+        {2: one, 3: one},
+        {2: 2 * one, 4: one},  # alone on column 4, a parameter: kept
+        {3: one, 5: one},  # alone on the constant column: kept
+    ]
+    assert admissible._drop_lone_rows(rows, 3) == rows[2:]
+    # x^2 + 1 and x - y in (x, y): the multiples by y of both rows and by x of
+    # x^2 + 1 hold y^2, x^2*y and x^3 alone; then x*(x - y) is alone on x*y,
+    # then x^2 + 1 on x^2.  Only x - y is left, and x - y = 0 is the harvest.
+    residuals = [MPoly(QQ, 2, {(2, 0): 1, (0, 0): 1}), MPoly(QQ, 2, {(1, 0): 1, (0, 1): -1})]
+    got = admissible._harvest_linear(residuals, 2, QQ, True)
+    assert got == harvest_reference(residuals, 2, QQ, True) == [{0: one, 1: -one}]
