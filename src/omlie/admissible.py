@@ -8,13 +8,16 @@ flattened to n^3 coordinates.  The decision pipeline is
      full mode, the compatibility equations forcing the product's commutator
      to reproduce the given bracket;
   2. propagation loop: the module-identity residuals on the current affine
-     solution space are degree <= 2 polynomials in its free parameters; all
-     degree <= 1 members of their span are intersected back until a fixed
-     point.  When the span holds none and there are at most
+     solution space are degree <= 2 polynomials in its free parameters,
+     built straight from the space's affine coordinate forms as dicts on
+     integer monomial keys whose natural order is the elimination's column
+     order; all degree <= 1 members of their span are intersected back until
+     a fixed point.  When the span holds none and there are at most
      ``PRODUCTS_DIM_LIMIT`` parameters, it is enlarged by the multiples of the
-     residuals by each parameter, taken as the multiples of the residuals'
-     echelon basis (same span, fewer rows), with the rows that alone hold a
-     degree >= 2 monomial left out (no degree <= 1 member can use them);
+     residuals by each parameter, taken as the multiples of the echelon rows
+     the same elimination left (same span, fewer rows), with the rows that
+     alone hold a degree >= 2 monomial left out (no degree <= 1 member can
+     use them).  The leftovers become ``MPoly`` only on the way out;
   3. endgame for the strictly quadratic leftovers: a budgeted search for a
      rational point (pin a parameter, re-propagate, recurse) settles the
      satisfiable cases constructively; whatever it cannot settle goes to a
@@ -30,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra import (
     OmegaLieAlgebra,
@@ -41,7 +45,7 @@ from .algebra import (
 from .errors import AxiomCheckError
 from .fields import QQ, rational_roots, Poly
 from .linalg import AffineSpace, Matrix, eliminate, intersect, solve_affine
-from .multipoly import GroebnerResult, MPoly, _degrevlex_desc_key, buchberger, contains_one
+from .multipoly import GroebnerResult, MPoly, buchberger, contains_one
 
 FULL = "full"
 MODULE_ONLY = "module_only"
@@ -125,99 +129,98 @@ def jacobi_consequence_constraints(L: OmegaLieAlgebra) -> list[dict]:
     return rows
 
 
-def _symbolic_operators(L: OmegaLieAlgebra, space: AffineSpace):
-    """The unknown matrices as affine polynomials in the space's parameters."""
-    n = L.dim
-    field = L.field
-    d = space.dim
-    const_mono = (0,) * d
-    unit_monos = []
-    for t in range(d):
-        m = [0] * d
-        m[t] = 1
-        unit_monos.append(tuple(m))
-    mats = []
-    for i in range(n):
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                v = _var(n, i, r, c)
-                terms = {}
-                o = space.origin[v]
-                if o:
-                    terms[const_mono] = o
-                for t in range(d):
-                    b = space.basis[t].get(v)
-                    if b:
-                        terms[unit_monos[t]] = b
-                row.append(MPoly(field, d, terms))
-            rows.append(row)
-        mats.append(rows)
-    return mats
+def _mono_key(indices, d):
+    """Key of the product of x_i over ``indices`` (at most three of the d
+    parameter indices, repeats allowed): with B = d + 1 and the indices in
+    descending order i1 >= i2 >= i3, missing ones read as 0, the key is
+    (3 - degree) * B^3 + i1 * B^2 + i2 * B + i3."""
+    B = d + 1
+    i1, i2, i3 = sorted(indices, reverse=True) + [0] * (3 - len(indices))
+    return (3 - len(indices)) * B**3 + i1 * B**2 + i2 * B + i3
 
 
-def _mpoly_matmul(a, b, field, d):
-    n = len(a)
-    zero = MPoly.zero(field, d)
-    out = []
-    for r in range(n):
-        arow = a[r]
-        row = []
-        for c in range(n):
-            acc = zero
-            for k in range(n):
-                x = arow[k]
-                y = b[k][c]
-                if x and y:
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(row)
-    return out
+def _key_indices(key, d):
+    """The parameter indices of a key's monomial, in descending order."""
+    B = d + 1
+    return (key // B**2 % B, key // B % B, key % B)[: 3 - key // B**3]
 
 
-def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[MPoly]:
+@cache
+def _times_params(key, d):
+    """Keys of the key's monomial times x_0, ..., x_{d-1}.  The harvest asks
+    only for keys of degree <= 2 with d <= ``PRODUCTS_DIM_LIMIT``, which
+    bounds the cache to a few thousand entries."""
+    indices = _key_indices(key, d)
+    return tuple(_mono_key(indices + (u,), d) for u in range(d))
+
+
+def _pair_keys(d):
+    """keys[p][q] is the key of x_p * x_q, where index d stands for 1: with
+    B = d + 1, B^3 + max(p, q) * B^2 + min(p, q) * B for p, q < d, and the
+    key of the other factor when one of them is d."""
+    B = d + 1
+    high = [B**3 + p * B**2 for p in range(d)]
+    low = [p * B for p in range(d)]
+    linear = [_mono_key([p], d) for p in range(d)]
+    keys = [
+        [high[p] + low[q] for q in range(p)] + [high[q] + low[p] for q in range(p, d)] + [linear[p]]
+        for p in range(d)
+    ]
+    return keys + [linear + [_mono_key([], d)]]
+
+
+def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[dict]:
     """Residuals of l_[ei,ej] - [l_i, l_j] - w(i,j) id on the space.
 
-    Returned polynomials have degree <= 2 in the space's free parameters;
-    identically-zero entries are dropped.  Ordering is pairs (i < j) then
+    Each residual is a polynomial of degree <= 2 in the space's d free
+    parameters, given as a dict ``{key: nonzero coefficient}`` whose keys are
+    those of :func:`_mono_key`: x_p * x_q (p >= q) is B^3 + p*B^2 + q*B, x_t
+    is 2*B^3 + t*B^2 and the constant 3*B^3, with B = d + 1.  Ascending key
+    order is the harvest's column order (see :func:`_harvest_linear`).
+    Identically-zero entries are dropped.  Ordering is pairs (i < j) then
     entries row-major, so the system is deterministic.
     """
     n = L.dim
-    field = L.field
     d = space.dim
-    mats = _symbolic_operators(L, space)
+    keys = _pair_keys(d)
+    # The affine form of each ambient coordinate: (parameter, entry) pairs,
+    # with index d for the origin's entry.
+    forms = [[] for _ in range(n**3)]
+    for t, row in enumerate(space.basis):
+        for v, b in row.items():
+            forms[v].append((t, b))
+    for v, o in enumerate(space.origin):
+        if o:
+            forms[v].append((d, o))
+    X = [[[forms[_var(n, i, r, c)] for c in range(n)] for r in range(n)] for i in range(n)]
+    negX = [[[[(p, -a) for p, a in f] for f in row] for row in mat] for mat in X]
+    one_key = keys[d][d]
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            br = L.bracket.pair(i, j)
-            comm = _mpoly_matmul(mats[i], mats[j], field, d)
-            rev = _mpoly_matmul(mats[j], mats[i], field, d)
+            br = [(m, v) for m, v in enumerate(L.bracket.pair(i, j)) if v]
             wij = L.omega.entry(i, j)
             for r in range(n):
                 for c in range(n):
-                    p = comm[r][c] - rev[r][c]
-                    acc = -p
-                    for m, v in enumerate(br):
-                        if v:
-                            acc = acc + mats[m][r][c].scale(v)
+                    acc = {}
+                    for k in range(n):  # -(X_i X_j)[r][c] + (X_j X_i)[r][c]
+                        for x, y in ((negX[i][r][k], X[j][k][c]), (X[j][r][k], X[i][k][c])):
+                            for p, a in x:
+                                kp = keys[p]
+                                for q, b in y:
+                                    key = kp[q]
+                                    ab = a * b
+                                    acc[key] = acc[key] + ab if key in acc else ab
+                    for m, v in br:
+                        for p, a in X[m][r][c]:
+                            key = keys[p][d]
+                            acc[key] = acc[key] + v * a if key in acc else v * a
                     if r == c and wij:
-                        acc = acc - MPoly.const(field, d, wij)
-                    if acc:
-                        out.append(acc)
+                        acc[one_key] = acc[one_key] - wij if one_key in acc else -wij
+                    residual = {key: v for key, v in acc.items() if v}
+                    if residual:
+                        out.append(residual)
     return out
-
-
-def _column_rows(polys, d):
-    """Term dicts as sparse rows over the harvest's columns: the monomials of
-    degree >= 2 in descending degrevlex order, then the d parameters, then the
-    constant.  Returns (rows, monomial of each column, number of degree >= 2
-    columns)."""
-    high = sorted({m for p in polys for m in p if sum(m) >= 2}, key=_degrevlex_desc_key)
-    # The parameters' columns, then the constant's (t = d gives the zero exponent).
-    monos = high + [tuple(int(j == t) for j in range(d)) for t in range(d + 1)]
-    col_of = {m: c for c, m in enumerate(monos)}
-    return [{col_of[m]: v for m, v in p.items()} for p in polys], monos, len(high)
 
 
 def _drop_lone_rows(rows, nhigh):
@@ -233,36 +236,58 @@ def _drop_lone_rows(rows, nhigh):
 
 
 def _harvest_linear(residuals, d, field, with_products):
-    """All degree <= 1 rows in the span of the residuals (plus, optionally,
-    their single-variable multiples), as sparse linear equations on the
-    parameters with the right-hand side at column d: the rows of the RREF
-    whose pivot is not a monomial of degree >= 2.
+    """All degree <= 1 rows in the span of the residuals, as sparse linear
+    equations on the parameters with the right-hand side at column d: the
+    rows of the RREF whose pivot is not a monomial of degree >= 2.  Returns
+    (rows, whether the multiples were used).
 
-    The decider asks for the multiples only when the plain span gives no row.
-    They are then taken of the residuals' echelon basis rather than of every
-    residual: the basis spans what the residuals span, so its multiples span
-    the same space, and the RREF and its degree <= 1 rows are the same.  Then
-    every row that alone holds some degree >= 2 monomial is dropped, over and
-    over until none is left: a combination free of degree >= 2 terms cannot
-    use such a row, so the harvest stays the same.  A degree <= 1 column never
-    drops a row, since those entries are what the harvest keeps.
+    The residuals are keyed as in :func:`module_identity_residuals`, and the
+    keys are the columns.  Ascending key order is: degree 3, then degree 2,
+    each in descending degrevlex (at one degree, the larger the largest index
+    the later, then the next index, as degrevlex's reversed exponents
+    compare), then x_0 .. x_{d-1}, then 1.  So the elimination pivots on the
+    degree >= 2 monomials first and never needs the keys sorted, and a row of
+    the RREF is degree <= 1 iff its pivot is at least the key of x_0.
+
+    The residuals are eliminated once.  With ``with_products`` and no
+    degree <= 1 row in the plain span, the span is enlarged by the multiples
+    of the residuals by each parameter, taken as the multiples of the
+    echelon rows that elimination set aside: they span what the residuals
+    span, so their multiples span the same space, and the degree <= 1 rows
+    are the same.  A table maps each key that occurs to the keys of its
+    multiples by x_0 .. x_{d-1}.  Then every row that alone holds some
+    degree >= 2 monomial is dropped, over and over until none is left: a
+    combination free of degree >= 2 terms cannot use such a row, so the
+    harvest stays the same.  A degree <= 1 column never drops a row, since
+    those entries are what the harvest keeps.
     """
-    polys = [p.terms for p in residuals]
-    if with_products:
-        rows, monos, _ = _column_rows(polys, d)
-        echelon, _ = eliminate(field, rows)  # the plain harvest's pivots: no new inversion
-        polys = [{monos[c]: v for c, v in row.items()} for row in echelon]
-        polys += [
-            {m[:t] + (m[t] + 1,) + m[t + 1 :]: v for m, v in p.items()}
-            for p in polys
-            for t in range(d)
-        ]
-    rows, _, nhigh = _column_rows(polys, d)
-    if with_products:
-        rows = _drop_lone_rows(rows, nhigh)
-    rows, _ = eliminate(field, rows, nhigh)
-    # Shift to parameter columns; the constant column becomes the right-hand side.
-    return [{c - nhigh: -v if c == nhigh + d else v for c, v in row.items()} for row in rows]
+    lin = _mono_key([0], d)
+    rows, pivots = eliminate(field, residuals, lin)
+    used_products = with_products and (not pivots or pivots[-1] < lin)
+    if used_products:
+        shift = {c: _times_params(c, d) for row in rows for c in row}
+        rows += [{shift[c][u]: v for c, v in row.items()} for row in rows for u in range(d)]
+        rows, pivots = eliminate(field, _drop_lone_rows(rows, lin), lin)
+    # Keys to parameter columns; the constant becomes the right-hand side.
+    one_key = _mono_key([], d)
+    param = {_mono_key([t], d): t for t in range(d)} | {one_key: d}
+    linear = [row for row, pc in zip(rows, pivots) if pc >= lin]
+    return [
+        {param[c]: -v if c == one_key else v for c, v in row.items()} for row in linear
+    ], used_products
+
+
+def _as_mpolys(residuals, d, field):
+    """Keyed residuals as MPoly, for the rational-point search and Buchberger."""
+    exponents = {}
+    for p in residuals:
+        for key in p:
+            if key not in exponents:
+                e = [0] * d
+                for i in _key_indices(key, d):
+                    e[i] += 1
+                exponents[key] = tuple(e)
+    return [MPoly(field, d, {exponents[key]: v for key, v in p.items()}) for p in residuals]
 
 
 @dataclass
@@ -277,20 +302,19 @@ def _consequence_fixed_point(L, space, trace=None):
 
     Returns (space, residuals) where residuals is empty when the space became
     infeasible or satisfies the identities outright; otherwise it holds the
-    strictly quadratic leftovers at the fixed point.
+    strictly quadratic leftovers at the fixed point, converted to MPoly once
+    on the way out.
     """
     field = L.field
     iteration = 0
-    residuals: list[MPoly] = []
+    residuals: list[dict] = []
     while space.feasible:
         residuals = module_identity_residuals(L, space)
         if not residuals:
             break
-        rows = _harvest_linear(residuals, space.dim, field, False)
-        used_products = False
-        if not rows and 0 < space.dim <= PRODUCTS_DIM_LIMIT:
-            rows = _harvest_linear(residuals, space.dim, field, True)
-            used_products = True
+        rows, used_products = _harvest_linear(
+            residuals, space.dim, field, 0 < space.dim <= PRODUCTS_DIM_LIMIT
+        )
         if not rows:
             break
         space = space.restrict(rows)
@@ -306,7 +330,7 @@ def _consequence_fixed_point(L, space, trace=None):
                 }
             )
         residuals = []
-    return space, residuals
+    return space, _as_mpolys(residuals, space.dim, field)
 
 
 def propagate(L: OmegaLieAlgebra, mode: str = FULL) -> PropagationResult:

@@ -8,9 +8,9 @@ in it.  Every elimination is
 :func:`eliminate`: Gauss-Jordan on such rows, pivoting left to right on the
 first remaining row (exact arithmetic needs no magnitude pivoting).  It keeps
 an index from each column to the rows holding it, so a pivot touches only the
-rows it reduces; with ``keep_from`` it returns only the rows whose pivot is at
-or after that column, and never back-substitutes into the others.  The dense
-:class:`Matrix` serves the n x n operators; ``rref`` and ``invert`` are its
+rows it reduces; with ``keep_from`` it never back-substitutes into the rows
+whose pivot lies before that column, and returns those forward-reduced
+only.  The dense :class:`Matrix` serves the n x n operators; ``rref`` and ``invert`` are its
 views of the same routine.  Affine spaces are kept in a canonical form (basis
 rows in RREF, origin reduced against them) so that equal solution sets compare
 equal syntactically; the propagation loop in the admissibility decider relies
@@ -150,13 +150,16 @@ def eliminate(field: Field, rows, keep_from: int = 0):
     rows holding it is kept as entries appear and cancel, so each pivot
     visits only the rows it reduces.
 
-    With ``keep_from`` > 0 only the rows whose pivot column is at least
-    ``keep_from`` are returned (with their pivots): the RREF of the part of
-    the span with no entry below ``keep_from``.  A pivot column below
-    ``keep_from`` reduces only the rows after it, and its row is dropped, so
-    no back-substitution goes into rows that are not returned; pivots,
-    inversions and the returned rows are those of the full elimination.
-    Zero entries in the input are ignored; the input rows are not modified.
+    With ``keep_from`` > 0 a pivot column below ``keep_from`` reduces only
+    the rows after it, and its row is set aside: no later pivot is
+    back-substituted into it.  The rows come back in pivot order as before,
+    those with a pivot below ``keep_from`` first, forward-reduced only (an
+    echelon form with unit pivots, zero in every earlier pivot column), then
+    the rows whose pivot is at least ``keep_from``: the RREF of the part of
+    the span with no entry below ``keep_from``.  All of them together span the
+    input.  Pivots, inversions and the rows from ``keep_from`` on are those of
+    the full elimination.  Zero entries in the input are ignored; the input
+    rows are not modified.
     """
     one = field.one
     rows = [{c: v for c, v in row.items() if v} for row in rows]
@@ -169,7 +172,6 @@ def eliminate(field: Field, rows, keep_from: int = 0):
             else:
                 holders[c] = {r}
     pivots = []
-    first_kept = 0
     for pr in range(len(rows)):
         pc = min(lead[pr:])
         if pc == inf:
@@ -189,8 +191,7 @@ def eliminate(field: Field, rows, keep_from: int = 0):
                 prow[c] = prow[c] * inv
         targets = holders.pop(pc)
         targets.discard(pr)
-        if pc < keep_from:  # this row is not returned: nothing reduces it again
-            first_kept = pr + 1
+        if pc < keep_from:  # set aside: nothing reduces this row again
             for c in prow:
                 if c != pc:
                     holders[c].remove(pr)
@@ -212,7 +213,7 @@ def eliminate(field: Field, rows, keep_from: int = 0):
             if r > pr:
                 lead[r] = min(row, default=inf)
         pivots.append(pc)
-    return rows[first_kept : len(pivots)], pivots[first_kept:]
+    return rows[: len(pivots)], pivots
 
 
 def _sparse(field: Field, vec) -> dict:

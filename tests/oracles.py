@@ -8,6 +8,8 @@ double-check the unordered-triple reductions inside the package.
 from itertools import product as iproduct
 from math import inf
 
+from omlie.multipoly import MPoly
+
 
 def _apply(tensor, u, v):
     n = tensor.dim
@@ -171,3 +173,87 @@ def harvest_reference(residuals, d, field, with_products):
     rows = [row for row, pc in zip(rows, pivots) if pc >= nhigh]
     # Shift to parameter columns; the constant column becomes the right-hand side.
     return [{c - nhigh: -v if c == nhigh + d else v for c, v in row.items()} for row in rows]
+
+
+def _var(n, i, r, c):
+    return (i * n + r) * n + c
+
+
+def _symbolic_operators(L, space):
+    """The unknown matrices as affine polynomials in the space's parameters."""
+    n = L.dim
+    field = L.field
+    d = space.dim
+    const_mono = (0,) * d
+    unit_monos = []
+    for t in range(d):
+        m = [0] * d
+        m[t] = 1
+        unit_monos.append(tuple(m))
+    mats = []
+    for i in range(n):
+        rows = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                v = _var(n, i, r, c)
+                terms = {}
+                o = space.origin[v]
+                if o:
+                    terms[const_mono] = o
+                for t in range(d):
+                    b = space.basis[t].get(v)
+                    if b:
+                        terms[unit_monos[t]] = b
+                row.append(MPoly(field, d, terms))
+            rows.append(row)
+        mats.append(rows)
+    return mats
+
+
+def _mpoly_matmul(a, b, field, d):
+    n = len(a)
+    zero = MPoly.zero(field, d)
+    out = []
+    for r in range(n):
+        arow = a[r]
+        row = []
+        for c in range(n):
+            acc = zero
+            for k in range(n):
+                x = arow[k]
+                y = b[k][c]
+                if x and y:
+                    acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def residuals_reference(L, space):
+    """Residuals of l_[ei,ej] - [l_i, l_j] - w(i,j) id on the space as MPoly,
+    by symbolic matrix products of the operators' entries: pairs (i < j),
+    then entries row-major, identically-zero entries dropped."""
+    n = L.dim
+    field = L.field
+    d = space.dim
+    mats = _symbolic_operators(L, space)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = L.bracket.pair(i, j)
+            comm = _mpoly_matmul(mats[i], mats[j], field, d)
+            rev = _mpoly_matmul(mats[j], mats[i], field, d)
+            wij = L.omega.entry(i, j)
+            for r in range(n):
+                for c in range(n):
+                    p = comm[r][c] - rev[r][c]
+                    acc = -p
+                    for m, v in enumerate(br):
+                        if v:
+                            acc = acc + mats[m][r][c].scale(v)
+                    if r == c and wij:
+                        acc = acc - MPoly.const(field, d, wij)
+                    if acc:
+                        out.append(acc)
+    return out

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -32,9 +34,9 @@ from omlie.cli import theorem_targets
 from omlie.errors import AxiomCheckError
 from omlie.fields import QALPHA, QQ
 from omlie.linalg import Matrix, intersect, solve_affine
-from omlie.multipoly import MPoly
+from omlie.multipoly import MPoly, _degrevlex_desc_key
 
-from oracles import eliminate_reference, harvest_reference, random_fraction
+from oracles import eliminate_reference, harvest_reference, random_fraction, residuals_reference
 
 
 def a_alpha(field=QALPHA, alpha=None):
@@ -412,11 +414,29 @@ def test_product_tensor_round_trip():
 
 
 def _full_elimination(field, rows, keep_from=0):
-    """The reference loop's whole elimination, filtered to pivots from
-    ``keep_from`` on."""
-    rows, pivots = eliminate_reference(field, rows)
-    kept = [k for k, pc in enumerate(pivots) if pc >= keep_from]
-    return [rows[k] for k in kept], [pivots[k] for k in kept]
+    """The reference loop's whole elimination: its rows before ``keep_from``
+    are an echelon form that with the rest spans the input, as
+    ``eliminate`` returns them."""
+    return eliminate_reference(field, rows)
+
+
+def _keyed(p):
+    """An MPoly's terms keyed as the harvest keys them."""
+    return {
+        admissible._mono_key([i for i, e in enumerate(m) for _ in range(e)], p.nvars): c
+        for m, c in p.terms.items()
+    }
+
+
+def _loop_harvest_reference(residuals, d, with_products):
+    """The harvest the loop asks for, by the plain-loop oracle: the residuals'
+    span, and only when it gives no row, with ``with_products``, the span with
+    their multiples.  Returns (rows, whether the multiples were used)."""
+    polys = admissible._as_mpolys(residuals, d, QQ)
+    plain = harvest_reference(polys, d, QQ, False)
+    if plain or not with_products:
+        return plain, False
+    return harvest_reference(polys, d, QQ, True), True
 
 
 def test_harvest_matches_full_elimination(monkeypatch):
@@ -429,7 +449,7 @@ def test_harvest_matches_full_elimination(monkeypatch):
         for family in ("LSA3-1", "LSA3-2")
         for mode in (FULL, MODULE_ONLY)
     ] + [(abelian(QQ, 3), MODULE_ONLY)]
-    harvested = 0
+    harvested = used_products = 0
     for L, mode in cases:
         first = solve_affine(QQ, jacobi_consequence_constraints(L), L.dim**3)
         if mode == FULL:
@@ -444,9 +464,10 @@ def test_harvest_matches_full_elimination(monkeypatch):
                     m.setattr(admissible, "eliminate", _full_elimination)
                     want = admissible._harvest_linear(residuals, space.dim, QQ, with_products)
                 assert got == want
-                assert got == harvest_reference(residuals, space.dim, QQ, with_products)
-                harvested += len(got)
-    assert harvested
+                assert got == _loop_harvest_reference(residuals, space.dim, with_products)
+                harvested += len(got[0])
+                used_products += got[1]
+    assert harvested and used_products
 
 
 def test_product_harvests_along_the_search_match_reference(monkeypatch):
@@ -463,10 +484,10 @@ def test_product_harvests_along_the_search_match_reference(monkeypatch):
 
     def recording_harvest(residuals, d, field, with_products):
         handed.clear()
-        got = harvest(residuals, d, field, with_products)
-        if with_products:
+        got, used_products = harvest(residuals, d, field, with_products)
+        if used_products:
             calls.append((residuals, d, got, handed[-1]))
-        return got
+        return got, used_products
 
     monkeypatch.setattr(admissible, "eliminate", counting_eliminate)
     monkeypatch.setattr(admissible, "_harvest_linear", recording_harvest)
@@ -476,10 +497,8 @@ def test_product_harvests_along_the_search_match_reference(monkeypatch):
     monkeypatch.undo()
     assert calls
     for residuals, d, got, rows in calls:
-        assert got == harvest_reference(residuals, d, QQ, True)
-        column = {m: k for k, m in enumerate({m for p in residuals for m in p.terms})}
-        rows_in = [{column[m]: c for m, c in p.terms.items()} for p in residuals]
-        assert rows <= len(eliminate_reference(QQ, rows_in)[1]) * (d + 1)
+        assert got == harvest_reference(admissible._as_mpolys(residuals, d, QQ), d, QQ, True)
+        assert rows <= len(eliminate_reference(QQ, residuals)[1]) * (d + 1)
     assert sum(1 for _, _, got, _ in calls if got) >= 2
 
 
@@ -498,5 +517,76 @@ def test_drop_lone_rows_runs_to_a_fixed_point():
     # x^2 + 1 hold y^2, x^2*y and x^3 alone; then x*(x - y) is alone on x*y,
     # then x^2 + 1 on x^2.  Only x - y is left, and x - y = 0 is the harvest.
     residuals = [MPoly(QQ, 2, {(2, 0): 1, (0, 0): 1}), MPoly(QQ, 2, {(1, 0): 1, (0, 1): -1})]
-    got = admissible._harvest_linear(residuals, 2, QQ, True)
+    got, _ = admissible._harvest_linear([_keyed(p) for p in residuals], 2, QQ, True)
     assert got == harvest_reference(residuals, 2, QQ, True) == [{0: one, 1: -one}]
+    # That span already holds x - y, so the harvest stops there without the
+    # multiples.  The span of x^2 - x*y and x*y + 1 holds no linear row; of them and their multiples, x*(x^2 - x*y) holds x^3
+    # alone and x^2 - x*y holds x^2 alone, then x*y + 1 is alone on x*y.
+    # y*(x^2 - x*y) - x*(x*y + 1) + y*(x*y + 1) = y - x is left.
+    residuals = [MPoly(QQ, 2, {(2, 0): 1, (1, 1): -1}), MPoly(QQ, 2, {(1, 1): 1, (0, 0): 1})]
+    keyed = [_keyed(p) for p in residuals]
+    assert admissible._harvest_linear(keyed, 2, QQ, False) == ([], False)
+    got = admissible._harvest_linear(keyed, 2, QQ, True)
+    assert got == ([{0: one, 1: -one}], True)
+    assert got[0] == harvest_reference(residuals, 2, QQ, True)
+
+
+def test_monomial_keys_follow_the_harvest_column_order():
+    # Every monomial of degree <= 3 in d parameters: the keys are distinct,
+    # decode to their indices, and ascend as the harvest's columns do: the
+    # degree >= 2 monomials in descending degrevlex, then x_0 .. x_{d-1},
+    # then 1.
+    for d in range(0, 9):
+        monomials = [
+            indices
+            for degree in range(4)
+            for indices in combinations_with_replacement(range(d), degree)
+        ]
+        exponent = {m: tuple(m.count(i) for i in range(d)) for m in monomials}
+        high = sorted(
+            (m for m in monomials if len(m) >= 2), key=lambda m: _degrevlex_desc_key(exponent[m])
+        )
+        columns = high + [(t,) for t in range(d)] + [()]
+        keys = [admissible._mono_key(m, d) for m in columns]
+        assert keys == sorted(set(keys))
+        for m, key in zip(columns, keys):
+            assert admissible._key_indices(key, d) == tuple(sorted(m, reverse=True))
+            assert admissible._as_mpolys([{key: QQ.one}], d, QQ)[0].terms == {exponent[m]: QQ.one}
+        if d:
+            assert admissible._mono_key([0], d) == min(k for m, k in zip(columns, keys) if len(m) < 2)
+
+
+def test_residuals_match_symbolic_matrix_products(monkeypatch):
+    # The keyed residuals, as MPoly, against the products of the operators'
+    # entries as affine MPoly, in the same order.  Spaces: every one the
+    # propagation loop visits (the first, and the fixed point when feasible)
+    # and the fixed point with its first parameter pinned; cases: the
+    # positive controls and every theorem target, over Q and Q(alpha).
+    cases = [
+        (commutator_algebra(instantiate(family, {}, QQ)), mode)
+        for family in ("LSA3-1", "LSA3-2")
+        for mode in (FULL, MODULE_ONLY)
+    ] + [(abelian(QQ, 3), MODULE_ONLY)]
+    cases += [(instantiate(name, params, field), FULL) for name, params, field in theorem_targets()]
+    build = admissible.module_identity_residuals
+    compared = Counter()
+    for k, (L, mode) in enumerate(cases):
+        field = L.field
+        spaces = []
+
+        def recording_build(L, space):
+            spaces.append(space)
+            return build(L, space)
+
+        with monkeypatch.context() as m:
+            m.setattr(admissible, "module_identity_residuals", recording_build)
+            fixed = propagate(L, mode).space
+        if fixed.dim > 0:
+            spaces.append(fixed.restrict([{0: field.one, fixed.dim: field.one}]))
+        for space in spaces:
+            got = module_identity_residuals(L, space)
+            want = residuals_reference(L, space)
+            assert admissible._as_mpolys(got, space.dim, field) == want
+            compared[k] += bool(want)
+    assert all(compared[k] for k in range(len(cases)))
+    assert {L.field for L, _ in cases} == {QQ, QALPHA}

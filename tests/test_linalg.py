@@ -220,8 +220,10 @@ def _random_sparse_rows(rng, field, nr, nc):
 def test_eliminate_matches_reference_loop(field):
     # Over Q(alpha) the trail pins which entries are inverted, in order: the
     # pivot must be the first remaining row holding the column.  With
-    # keep_from the result is the full elimination's rows and pivots from
-    # keep_from on, after the same inversions.
+    # keep_from the rows from keep_from on are the full elimination's, after
+    # the same inversions; the rows before it are an echelon form (unit
+    # pivots, zero in every earlier pivot column) that with them spans the
+    # input, so the RREF of everything returned is the input's.
     rng = random.Random(41)
     for _ in range(60):
         nc = rng.randint(1, 8)
@@ -232,10 +234,16 @@ def test_eliminate_matches_reference_loop(field):
         for keep_from in sorted({0, rng.randint(1, nc), nc + 1}):
             with track_denominators() as got_trail:
                 got_rows, got_pivots = eliminate(field, rows, keep_from)
+            cut = sum(1 for pc in got_pivots if pc < keep_from)
             kept = [k for k, pc in enumerate(want_pivots) if pc >= keep_from]
-            assert got_rows == [want_rows[k] for k in kept]
-            assert got_pivots == [want_pivots[k] for k in kept]
+            assert got_rows[cut:] == [want_rows[k] for k in kept]
+            assert got_pivots[cut:] == [want_pivots[k] for k in kept]
             assert got_trail == want_trail
+            assert got_pivots == want_pivots
+            for k, (row, pc) in enumerate(zip(got_rows[:cut], got_pivots)):
+                assert min(row) == pc and row[pc] == field.one
+                assert not any(c in row for c in got_pivots[:k])
+            assert eliminate_reference(field, got_rows) == (want_rows, want_pivots)
         assert rows == before
 
 
@@ -268,8 +276,8 @@ class _Tally:
 
 
 def test_keep_from_skips_back_substitution_into_dropped_rows():
-    # Row 0 pivots on column 0 < keep_from and is dropped, so the pivot on
-    # column 1 must not be back-substituted into it.
+    # Row 0 pivots on column 0 < keep_from and is set aside, so the pivot on
+    # column 1 must not be back-substituted into it: it comes back as it was.
     one = _Tally(1)
     field = type("TallyField", (), {"one": one})
     rows = [{0: one, 1: one}, {1: one, 2: one}]
@@ -278,7 +286,9 @@ def test_keep_from_skips_back_substitution_into_dropped_rows():
         _Tally.products = 0
         out, pivots = eliminate(field, rows, keep_from)
         counts.append(_Tally.products)
-    assert pivots == [1] and [{c: v.v for c, v in row.items()} for row in out] == [{1: 1, 2: 1}]
+    out = [{c: v.v for c, v in row.items()} for row in out]
+    assert pivots[1:] == [1] and out[1:] == [{1: 1, 2: 1}]
+    assert pivots[:1] == [0] and out[:1] == [{0: 1, 1: 1}]
     assert counts == [1, 0]
 
 
