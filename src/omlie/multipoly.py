@@ -1,16 +1,26 @@
 """Sparse multivariate polynomials over an exact field and a degree-capped
 Buchberger algorithm with detection of 1 in the ideal.
 
-Monomials are exponent tuples, compared in degrevlex order through one sort
-key that lists them lead first.  Coefficients are field elements, so ideals
-over Q(alpha) are handled by the same code path with exact rational-function
-arithmetic.
+``MPoly`` keeps its terms as {exponent tuple: coefficient}.  Division and
+Buchberger work on packed monomials instead (Monagan & Pearce 2007,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors"): a monomial is one int, holding exponent i in a field of ``w`` bits
+at bit ``w*i`` and the total degree, negated, above all of them.  ``w`` leaves
+one guard bit above the largest degree the call can meet, so no field
+overflows and then
+- multiplying monomials is adding ints;
+- u divides v iff ``(v - u) & guard == 0``: a field of v below u's borrows
+  into its own guard bit;
+- ascending ints are descending degrevlex (higher degree first, then the
+  smaller exponent of the last variable), so a heap of plain ints pops the
+  largest monomial first and a polynomial's smallest key is its lead.
 
-Division (``normal_form``) reduces in one mutable term dict whose pending
-monomials sit in a heap, largest first, and reads each divisor's lead once
-per call; Buchberger keeps each basis element's (lead, lead coefficient,
-terms) triple beside it and divides by those triples directly.  No step
-rescans a whole polynomial to find its lead.
+Over Q coefficients are ints and division is fraction-free: a term c*x^m is
+reduced by g as f <- a*f - b*x^s*g, where b/a is c/lc(g) in lowest terms, so
+the remainder comes out scaled by the product of the a's; basis elements are
+kept primitive with a positive lead.  Over Q(alpha) the same loop divides
+exactly (a = 1, b = c/lc(g)) and basis elements are kept monic, so the same
+elements are inverted in the same order as by plain field division.
 
 Selection strategy and all tie-breaks are deterministic (normal strategy:
 lowest lcm degree first, ties by generator indices), so identical inputs
@@ -21,35 +31,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import add, sub
+from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
-from .fields import Field
+from .fields import QQ, Field
 
 
 def _degrevlex_desc_key(m):
-    """Sort key listing monomials in descending degrevlex order, so that
-    ``min`` picks the lead and a heap pops the largest first."""
+    """Sort key listing exponent tuples in descending degrevlex order."""
     return (-sum(m), m[::-1])
-
-
-def _mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mono_coprime(a, b):
-    return not any(x and y for x, y in zip(a, b))
 
 
 class MPoly:
@@ -68,20 +59,6 @@ class MPoly:
                     raise ValueError("exponent tuple has wrong length")
                 clean[tuple(m)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, field: Field, nvars: int) -> "MPoly":
-        return cls(field, nvars, {})
-
-    @classmethod
-    def const(cls, field: Field, nvars: int, value) -> "MPoly":
-        return cls(field, nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, field: Field, nvars: int, index: int) -> "MPoly":
-        m = [0] * nvars
-        m[index] = 1
-        return cls(field, nvars, {tuple(m): field.one})
 
     def _like(self, terms) -> "MPoly":
         out = MPoly.__new__(MPoly)
@@ -134,7 +111,7 @@ class MPoly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = tuple(map(add, m1, m2))
                 c = c1 * c2
                 acc = out.get(m)
                 acc = c if acc is None else acc + c
@@ -150,18 +127,6 @@ class MPoly:
             return self._like({})
         return self._like({m: v * c for m, v in self.terms.items()})
 
-    def times_term(self, coeff, mono) -> "MPoly":
-        return self._like({_mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
-    def shift_by_var(self, index: int) -> "MPoly":
-        """Multiply by the given variable."""
-        out = {}
-        for m, c in self.terms.items():
-            mm = list(m)
-            mm[index] += 1
-            out[tuple(mm)] = c
-        return self._like(out)
-
     def lead_monomial(self):
         return min(self.terms, key=_degrevlex_desc_key)
 
@@ -175,9 +140,6 @@ class MPoly:
         inv = self.field.one / lc
         return self._like({m: c * inv for m, c in self.terms.items()})
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, self.field.zero)
-
     def support_vars(self) -> set[int]:
         out = set()
         for m in self.terms:
@@ -185,37 +147,6 @@ class MPoly:
                 if e:
                     out.add(i)
         return out
-
-    def substitute(self, assignment: dict) -> "MPoly":
-        """Partially substitute values for variables; indices keep their slots."""
-        if not assignment:
-            return self
-        out = {}
-        for m, c in self.terms.items():
-            factor = c
-            mm = list(m)
-            dead = False
-            for idx, val in assignment.items():
-                e = mm[idx]
-                if e:
-                    mm[idx] = 0
-                    if not val:
-                        dead = True
-                        break
-                    factor = factor * val ** e
-            if dead:
-                continue
-            key = tuple(mm)
-            acc = out.get(key)
-            acc = factor if acc is None else acc + factor
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        return self._like(out)
-
-    def evaluate(self, values):
-        return self.substitute(dict(enumerate(values))).constant_term()
 
     def format(self, names=None) -> str:
         if not self.terms:
@@ -243,82 +174,183 @@ class MPoly:
         return f"MPoly({self.format()})"
 
 
-def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
-    lf, lg = f.lead_monomial(), g.lead_monomial()
-    lcm = _mono_lcm(lf, lg)
-    one = f.field.one
-    tf = f.times_term(one / f.terms[lf], _mono_div(lcm, lf))
-    tg = g.times_term(one / g.terms[lg], _mono_div(lcm, lg))
-    return tf - tg
+class _Packing:
+    """Packed monomials in ``nvars`` variables of total degree at most ``max_degree``."""
+
+    __slots__ = ("nvars", "width", "top", "guard")
+
+    def __init__(self, nvars: int, max_degree: int):
+        w = max_degree.bit_length() + 1
+        self.nvars, self.width, self.top = nvars, w, nvars * w
+        self.guard = sum(1 << (w * i + w - 1) for i in range(nvars))
+
+    def pack(self, exps) -> int:
+        w = self.width
+        m = -sum(exps) << self.top
+        for i, e in enumerate(exps):
+            m += e << (w * i)
+        return m
+
+    def unpack(self, m) -> tuple:
+        w = self.width
+        mask = (1 << (w - 1)) - 1
+        return tuple((m >> (w * i)) & mask for i in range(self.nvars))
+
+    def degree(self, m) -> int:
+        return -(m >> self.top)
+
+    def pack_terms(self, p: MPoly):
+        """p's terms on packed keys, lead first, with the factor they were scaled
+        by: over Q the coefficients become ints, scaled by their denominators' lcm."""
+        pack = self.pack
+        items = sorted((pack(m), c) for m, c in p.terms.items())
+        if p.field is not QQ:
+            return dict(items), 1
+        den = lcm(*(c.denominator for _, c in items))
+        return {m: c.numerator * (den // c.denominator) for m, c in items}, den
+
+    def to_mpoly(self, element, field: Field) -> MPoly:
+        """A basis element as a monic MPoly."""
+        lead, lc, tail = element
+        unpack = self.unpack
+        if field is QQ:
+            terms = {unpack(lead): Fraction(1)}
+            terms.update((unpack(m), Fraction(c, lc)) for m, c in tail)
+        else:
+            terms = {unpack(lead): lc}
+            terms.update((unpack(m), c) for m, c in tail)
+        out = MPoly.__new__(MPoly)
+        out.field, out.nvars, out.terms = field, self.nvars, terms
+        return out
 
 
-def _divisor(g: MPoly):
-    """The (lead monomial, lead coefficient, terms) triple division reads."""
-    gm = g.lead_monomial()
-    return gm, g.terms[gm], g.terms
+def _element(terms, field: Field):
+    """Nonzero packed terms, listed lead first, as the (lead, lead coefficient,
+    tail) triple division reads: primitive with a positive lead over Q, monic
+    over Q(alpha)."""
+    items = list(terms.items())
+    lc = items[0][1]
+    if field is QQ:
+        k = gcd(*terms.values())
+        if lc < 0:
+            k = -k
+        if k != 1:
+            items = [(m, c // k) for m, c in items]
+    elif lc != field.one:
+        inv = field.one / lc
+        items = [(m, c * inv) for m, c in items]
+    lead, lc = items[0]
+    return lead, lc, items[1:]
+
+
+def _reduce(work, divisors, guard: int, field: Field):
+    """Remainder of the packed terms ``work`` (consumed) on division by
+    (lead, lead coefficient, tail) triples, and the factor it is scaled by.
+
+    The largest pending monomial is reduced first, by the first divisor in
+    list order whose lead divides it.  Over Q the step is fraction-free and
+    the returned factor is the product of the a's; over Q(alpha) it is 1.
+    The remainder is listed lead first.
+    """
+    fraction_free = field is QQ
+    heap = list(work)
+    heapq.heapify(heap)
+    rem = {}
+    scale = 1
+    while heap:
+        m = heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled, or a stale duplicate heap entry
+        for gm, glc, gtail in divisors:
+            shift = m - gm
+            if shift & guard:
+                continue
+            if fraction_free:
+                k = gcd(c, glc)
+                a, b = glc // k, c // k
+                if a != 1:
+                    scale *= a
+                    for t in work:
+                        work[t] *= a
+                    for t in rem:
+                        rem[t] *= a
+            else:
+                b = c / glc
+            for t, gc in gtail:
+                t += shift
+                acc = work.get(t)
+                if acc is None:
+                    work[t] = -(gc * b)
+                    heapq.heappush(heap, t)
+                else:
+                    acc = acc - gc * b
+                    if acc:
+                        work[t] = acc
+                    else:
+                        del work[t]
+            break
+        else:
+            rem[m] = c
+    return rem, scale
 
 
 def normal_form(f: MPoly, basis) -> MPoly:
     """Remainder of f on division by the basis: the largest pending monomial
     is reduced first, by the first divisor in list order whose lead divides it.
     """
-    return _reduce(f, [_divisor(g) for g in basis if g])
-
-
-def _reduce(f: MPoly, divisors) -> MPoly:
-    """``normal_form`` over divisors given as ``_divisor`` triples, in order."""
-    work = dict(f.terms)
-    heap = [(_degrevlex_desc_key(m), m) for m in work]
-    heapq.heapify(heap)
-    rem = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
-            continue  # cancelled, or a stale duplicate heap entry
-        for gm, glc, gterms in divisors:
-            if _mono_divides(gm, m):
-                q = c / glc
-                shift = _mono_div(m, gm)
-                for t, gc in gterms.items():
-                    if t == gm:
-                        continue  # cancels c exactly
-                    t = _mono_mul(t, shift)
-                    acc = work.get(t)
-                    if acc is None:
-                        work[t] = -(gc * q)
-                        heapq.heappush(heap, (_degrevlex_desc_key(t), t))
-                    else:
-                        acc = acc - gc * q
-                        if acc:
-                            work[t] = acc
-                        else:
-                            del work[t]
-                break
-        else:
-            rem[m] = c
-    return f._like(rem)
+    basis = [g for g in basis if g]
+    if not f:
+        return f._like({})
+    packing = _Packing(f.nvars, max(p.degree() for p in (f, *basis)))
+    field = f.field
+    divisors = []
+    for g in basis:
+        terms = packing.pack_terms(g)[0]
+        if field is QQ:
+            divisors.append(_element(terms, field))
+        else:  # not made monic: a lead coefficient is inverted only if it is divided by
+            items = list(terms.items())
+            divisors.append((*items[0], items[1:]))
+    work, den = packing.pack_terms(f)
+    rem, scale = _reduce(work, divisors, packing.guard, field)
+    unpack = packing.unpack
+    if field is QQ:
+        den *= scale
+        return f._like({unpack(m): Fraction(c, den) for m, c in rem.items()})
+    return f._like({unpack(m): c for m, c in rem.items()})
 
 
 def interreduce(polys) -> list[MPoly]:
     """Auto-reduce to a set with monic leads where no lead divides another term."""
-    polys = [p.monic() for p in polys if p]
+    polys = [p for p in polys if p]
+    if not polys:
+        return []
+    field = polys[0].field
+    packing = _Packing(polys[0].nvars, max(p.degree() for p in polys))
+    polys = [_element(packing.pack_terms(p)[0], field) for p in polys]
     changed = True
     while changed:
         changed = False
-        out: list[MPoly] = []
+        out: list = []
         for i, p in enumerate(polys):
             others = out + polys[i + 1 :]
-            r = normal_form(p, others) if others else p
+            r = p
+            if others:
+                lead, lc, tail = p
+                work = dict(tail)
+                work[lead] = lc
+                rem = _reduce(work, others, packing.guard, field)[0]
+                r = _element(rem, field) if rem else None
             if r:
-                r = r.monic()
                 if r != p:
                     changed = True
                 out.append(r)
             else:
                 changed = True
         polys = out
-    return sorted(polys, key=lambda p: _degrevlex_desc_key(p.lead_monomial()))
+    polys.sort(key=lambda p: p[0])
+    return [packing.to_mpoly(p, field) for p in polys]
 
 
 @dataclass(frozen=True)
@@ -329,6 +361,32 @@ class GroebnerResult:
     cap_exceeded: bool
     spairs_processed: int
     max_degree: int
+
+
+def _s_polynomial(f, g, lcm_mono: int, field: Field):
+    """Packed S-polynomial of two ``_element`` triples, from their tails (the
+    leads cancel).  Over Q(alpha) both are monic, so no cofactor is needed."""
+    (lf, cf, tf), (lg, cg, tg) = f, g
+    if field is QQ:
+        k = gcd(cf, cg)
+        af, ag = cg // k, cf // k
+        tf = [(t, af * c) for t, c in tf]
+        tg = [(t, ag * c) for t, c in tg]
+    shift = lcm_mono - lf
+    work = {t + shift: c for t, c in tf}
+    shift = lcm_mono - lg
+    for t, c in tg:
+        t += shift
+        acc = work.get(t)
+        if acc is None:
+            work[t] = -c
+        else:
+            acc = acc - c
+            if acc:
+                work[t] = acc
+            else:
+                del work[t]
+    return work
 
 
 def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
@@ -346,33 +404,41 @@ def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
         return GroebnerResult((), False, spairs, maxdeg)
     if maxdeg > degree_cap:
         return GroebnerResult(None, True, spairs, maxdeg)
-    divisors = [_divisor(p) for p in G]
+    # Every monomial met has degree at most the cap: the S-polynomial of a
+    # selected pair has its lcm's degree, and division only lowers monomials.
+    field = G[0].field
+    packing = _Packing(G[0].nvars, degree_cap)
+    guard = packing.guard
+    basis = [_element(packing.pack_terms(p)[0], field) for p in G]
+    leads = [packing.unpack(p[0]) for p in basis]
     heap: list[tuple[int, int, int]] = []
 
     def add_pairs(k):
-        lk = divisors[k][0]
+        lk = leads[k]
         for t in range(k):
-            lt = divisors[t][0]
-            if not _mono_coprime(lt, lk):
-                heapq.heappush(heap, (sum(_mono_lcm(lt, lk)), t, k))
+            lt = leads[t]
+            if any(map(min, lt, lk)):  # leads not coprime
+                heapq.heappush(heap, (sum(map(max, lt, lk)), t, k))
 
-    for k in range(len(G)):
+    for k in range(len(basis)):
         add_pairs(k)
     while heap:
         lcmdeg, i, j = heapq.heappop(heap)
         if lcmdeg > degree_cap:
             return GroebnerResult(None, True, spairs, maxdeg)
         spairs += 1
-        h = _reduce(s_polynomial(G[i], G[j]), divisors)
+        lcm_mono = packing.pack(tuple(map(max, leads[i], leads[j])))
+        h = _reduce(_s_polynomial(basis[i], basis[j], lcm_mono, field), basis, guard, field)[0]
         if not h:
             continue
-        if h.degree() > degree_cap:
+        hdeg = packing.degree(next(iter(h)))
+        if hdeg > degree_cap:
             return GroebnerResult(None, True, spairs, maxdeg)
-        h = h.monic()
-        maxdeg = max(maxdeg, h.degree())
-        G.append(h)
-        divisors.append(_divisor(h))
-        add_pairs(len(G) - 1)
+        maxdeg = max(maxdeg, hdeg)
+        basis.append(_element(h, field))
+        leads.append(packing.unpack(basis[-1][0]))
+        add_pairs(len(basis) - 1)
+    G = [packing.to_mpoly(p, field) for p in basis]
     return GroebnerResult(tuple(interreduce(G)), False, spairs, maxdeg)
 
 

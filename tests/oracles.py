@@ -5,10 +5,12 @@ expanded over ALL ordered basis triples straight from the tensors, so they
 double-check the unordered-triple reductions inside the package.
 """
 
+import heapq
 from itertools import product as iproduct
 from math import inf
+from operator import add, sub
 
-from omlie.multipoly import MPoly
+from omlie.multipoly import GroebnerResult, MPoly
 
 
 def _apply(tensor, u, v):
@@ -86,6 +88,217 @@ def _degrevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+# ------------------------------------------------------------ MPoly helpers
+# Constructors and evaluation on exponent-tuple MPoly that only tests use.
+
+
+def zero(field, nvars):
+    return MPoly(field, nvars, {})
+
+
+def const(field, nvars, value):
+    return MPoly(field, nvars, {(0,) * nvars: value})
+
+
+def variable(field, nvars, index):
+    m = [0] * nvars
+    m[index] = 1
+    return MPoly(field, nvars, {tuple(m): field.one})
+
+
+def times_term(p, coeff, mono):
+    return p._like({tuple(map(add, m, mono)): c * coeff for m, c in p.terms.items()})
+
+
+def shift_by_var(p, index):
+    """Multiply by the given variable."""
+    out = {}
+    for m, c in p.terms.items():
+        mm = list(m)
+        mm[index] += 1
+        out[tuple(mm)] = c
+    return p._like(out)
+
+
+def constant_term(p):
+    return p.terms.get((0,) * p.nvars, p.field.zero)
+
+
+def substitute(p, assignment):
+    """Partially substitute values for variables; indices keep their slots."""
+    if not assignment:
+        return p
+    out = {}
+    for m, c in p.terms.items():
+        factor = c
+        mm = list(m)
+        dead = False
+        for idx, val in assignment.items():
+            e = mm[idx]
+            if e:
+                mm[idx] = 0
+                if not val:
+                    dead = True
+                    break
+                factor = factor * val ** e
+        if dead:
+            continue
+        key = tuple(mm)
+        acc = out.get(key)
+        acc = factor if acc is None else acc + factor
+        if acc:
+            out[key] = acc
+        else:
+            del out[key]
+    return p._like(out)
+
+
+def evaluate(p, values):
+    return constant_term(substitute(p, dict(enumerate(values))))
+
+
+def _degrevlex_desc_key(m):
+    return (-sum(m), m[::-1])
+
+
+def _mono_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def _mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _mono_div(a, b):
+    return tuple(map(sub, a, b))
+
+
+def _mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _mono_coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
+
+
+def s_polynomial(f, g):
+    lf, lg = f.lead_monomial(), g.lead_monomial()
+    lcm = _mono_lcm(lf, lg)
+    one = f.field.one
+    tf = times_term(f, one / f.terms[lf], _mono_div(lcm, lf))
+    tg = times_term(g, one / g.terms[lg], _mono_div(lcm, lg))
+    return tf - tg
+
+
+# ------------------------------------------------- Buchberger on exponent tuples
+# The field-division Buchberger the package used before packed monomials,
+# kept as the reference: exponent-tuple monomials, Fraction or RatFunc
+# coefficients, divisors as (lead, lead coefficient, terms) triples.
+
+
+def _divisor(g):
+    """The (lead monomial, lead coefficient, terms) triple division reads."""
+    gm = g.lead_monomial()
+    return gm, g.terms[gm], g.terms
+
+
+def _reduce_reference(f, divisors):
+    """Division remainder over divisors given as ``_divisor`` triples, in order."""
+    work = dict(f.terms)
+    heap = [(_degrevlex_desc_key(m), m) for m in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled, or a stale duplicate heap entry
+        for gm, glc, gterms in divisors:
+            if _mono_divides(gm, m):
+                q = c / glc
+                shift = _mono_div(m, gm)
+                for t, gc in gterms.items():
+                    if t == gm:
+                        continue  # cancels c exactly
+                    t = _mono_mul(t, shift)
+                    acc = work.get(t)
+                    if acc is None:
+                        work[t] = -(gc * q)
+                        heapq.heappush(heap, (_degrevlex_desc_key(t), t))
+                    else:
+                        acc = acc - gc * q
+                        if acc:
+                            work[t] = acc
+                        else:
+                            del work[t]
+                break
+        else:
+            rem[m] = c
+    return f._like(rem)
+
+
+def interreduce_reference(polys):
+    """Auto-reduce to a set with monic leads where no lead divides another term."""
+    polys = [p.monic() for p in polys if p]
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for i, p in enumerate(polys):
+            others = out + polys[i + 1 :]
+            r = _reduce_reference(p, [_divisor(g) for g in others if g]) if others else p
+            if r:
+                r = r.monic()
+                if r != p:
+                    changed = True
+                out.append(r)
+            else:
+                changed = True
+        polys = out
+    return sorted(polys, key=lambda p: _degrevlex_desc_key(p.lead_monomial()))
+
+
+def buchberger_reference(gens, degree_cap=6):
+    """Reduced Groebner basis of the ideal, or cap_exceeded, with the same pair
+    queue, divisor order, normal selection, coprime skip and cap checks as
+    ``omlie.multipoly.buchberger``."""
+    G = interreduce_reference(gens)
+    spairs = 0
+    maxdeg = max((p.degree() for p in G), default=0)
+    if not G:
+        return GroebnerResult((), False, spairs, maxdeg)
+    if maxdeg > degree_cap:
+        return GroebnerResult(None, True, spairs, maxdeg)
+    divisors = [_divisor(p) for p in G]
+    heap = []
+
+    def add_pairs(k):
+        lk = divisors[k][0]
+        for t in range(k):
+            lt = divisors[t][0]
+            if not _mono_coprime(lt, lk):
+                heapq.heappush(heap, (sum(_mono_lcm(lt, lk)), t, k))
+
+    for k in range(len(G)):
+        add_pairs(k)
+    while heap:
+        lcmdeg, i, j = heapq.heappop(heap)
+        if lcmdeg > degree_cap:
+            return GroebnerResult(None, True, spairs, maxdeg)
+        spairs += 1
+        h = _reduce_reference(s_polynomial(G[i], G[j]), divisors)
+        if not h:
+            continue
+        if h.degree() > degree_cap:
+            return GroebnerResult(None, True, spairs, maxdeg)
+        h = h.monic()
+        maxdeg = max(maxdeg, h.degree())
+        G.append(h)
+        divisors.append(_divisor(h))
+        add_pairs(len(G) - 1)
+    return GroebnerResult(tuple(interreduce_reference(G)), False, spairs, maxdeg)
+
+
 def normal_form_reference(f, basis):
     """Division remainder by the plain loop: find the largest monomial left
     by a full scan under a separately written degrevlex key, reduce it by the
@@ -102,7 +315,7 @@ def normal_form_reference(f, basis):
             gm = max(g.terms, key=_degrevlex_key)
             if all(x <= y for x, y in zip(gm, lm)):
                 shift = tuple(x - y for x, y in zip(lm, gm))
-                work = work - g.times_term(lc / g.terms[gm], shift)
+                work = work - times_term(g, lc / g.terms[gm], shift)
                 break
         else:
             rem[lm] = lc
@@ -159,7 +372,7 @@ def harvest_reference(residuals, d, field, with_products):
     if with_products:
         for p in residuals:
             for t in range(d):
-                polys.append(p.shift_by_var(t))
+                polys.append(shift_by_var(p, t))
     high = sorted(
         {m for p in polys for m in p.terms if sum(m) >= 2}, key=_degrevlex_key, reverse=True
     )
@@ -213,13 +426,13 @@ def _symbolic_operators(L, space):
 
 def _mpoly_matmul(a, b, field, d):
     n = len(a)
-    zero = MPoly.zero(field, d)
+    acc0 = zero(field, d)
     out = []
     for r in range(n):
         arow = a[r]
         row = []
         for c in range(n):
-            acc = zero
+            acc = acc0
             for k in range(n):
                 x = arow[k]
                 y = b[k][c]
@@ -253,7 +466,7 @@ def residuals_reference(L, space):
                         if v:
                             acc = acc + mats[m][r][c].scale(v)
                     if r == c and wij:
-                        acc = acc - MPoly.const(field, d, wij)
+                        acc = acc - const(field, d, wij)
                     if acc:
                         out.append(acc)
     return out

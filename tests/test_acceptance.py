@@ -36,15 +36,9 @@ from omlie.cli import run_command, theorem_targets
 from omlie.fields import QALPHA, QQ
 from omlie.fileformat import parse_algebra_text
 from omlie.linalg import Matrix
-from omlie.multipoly import (
-    MPoly,
-    buchberger,
-    contains_one,
-    normal_form,
-    s_polynomial,
-)
+from omlie.multipoly import buchberger, contains_one, normal_form
 
-from oracles import random_fraction
+from oracles import const, random_fraction, s_polynomial, variable
 
 SAMPLES = (Fraction(2), Fraction(-2), Fraction(1, 2))
 
@@ -240,8 +234,8 @@ def test_a6_groebner_unit_suite():
                 assert not normal_form(s_polynomial(basis[i], basis[j]), basis)
 
     # the three pinned examples
-    one = MPoly.const(QQ, 1, 1)
-    p0 = MPoly.variable(QQ, 1, 0)
+    one = const(QQ, 1, 1)
+    p0 = variable(QQ, 1, 0)
     res = buchberger([p0 - one, p0 - one - one])
     assert contains_one(res) is True
     criterion(res.basis)
@@ -252,8 +246,8 @@ def test_a6_groebner_unit_suite():
     assert res.basis == (quad,)
     criterion(res.basis)
 
-    q0 = MPoly.variable(QQ, 2, 0)
-    q1 = MPoly.variable(QQ, 2, 1)
+    q0 = variable(QQ, 2, 0)
+    q1 = variable(QQ, 2, 1)
     res = buchberger([q0 * q0 - q1, q1 * q1 - q0])
     assert contains_one(res) is False
     assert not normal_form(q0 * q0 * q0 * q0 - q0, list(res.basis))

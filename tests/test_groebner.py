@@ -1,19 +1,36 @@
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
+from omlie.admissible import ADMISSIBLE, FULL, MODULE_ONLY, decide_admissible, propagate
+from omlie.algebra import commutator_algebra
+from omlie.catalog import instantiate
 from omlie.fields import QALPHA, QQ, track_denominators
+from omlie.fileformat import parse_algebra_text
 from omlie.multipoly import (
     MPoly,
+    _degrevlex_desc_key,
+    _Packing,
     buchberger,
     contains_one,
     normal_form,
-    s_polynomial,
 )
 
-from oracles import normal_form_reference, random_fraction
+from oracles import (
+    buchberger_reference,
+    const,
+    constant_term,
+    evaluate,
+    normal_form_reference,
+    random_fraction,
+    s_polynomial,
+    substitute,
+    variable,
+    zero,
+)
 
 
 def mp(nvars, terms, field=QQ):
@@ -21,21 +38,21 @@ def mp(nvars, terms, field=QQ):
 
 
 def var(i, nvars, field=QQ):
-    return MPoly.variable(field, nvars, i)
+    return variable(field, nvars, i)
 
 
 class TestArithmetic:
     def test_product_expansion(self):
         p0, p1 = var(0, 2), var(1, 2)
-        one = MPoly.const(QQ, 2, 1)
+        one = const(QQ, 2, 1)
         sq = (p0 + p1) * (p0 + p1)
         assert sq == mp(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
         assert (p0 + one) * (p0 - one) == mp(2, {(2, 0): 1, (0, 0): -1})
 
     def test_evaluate_and_substitute(self):
         p = mp(2, {(2, 0): 1, (0, 1): -3, (0, 0): 2})
-        assert p.evaluate([Fraction(2), Fraction(1)]) == 4 - 3 + 2
-        part = p.substitute({0: Fraction(2)})
+        assert evaluate(p, [Fraction(2), Fraction(1)]) == 4 - 3 + 2
+        part = substitute(p, {0: Fraction(2)})
         assert part == mp(2, {(0, 1): -3, (0, 0): 6})
 
     def test_degrevlex_lead_prefers_total_degree(self):
@@ -55,8 +72,8 @@ class TestNormalForm:
 
     def test_remainder_constant(self):
         p0, p1 = var(0, 2), var(1, 2)
-        f = p0 * p1 + MPoly.const(QQ, 2, 1)
-        assert normal_form(f, [p0]) == MPoly.const(QQ, 2, 1)
+        f = p0 * p1 + const(QQ, 2, 1)
+        assert normal_form(f, [p0]) == const(QQ, 2, 1)
 
     def test_idempotent_random(self):
         rng = random.Random(3)
@@ -100,15 +117,15 @@ class TestNormalForm:
             basis = [rand_poly(nv, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 4))]
             g = basis[0]
             if g:  # a divisor with the same lead, listed after the first
-                basis.append(g.scale(2) + MPoly.const(field, nv, coeff()))
-            basis.insert(rng.randint(0, len(basis)), MPoly.zero(field, nv))
+                basis.append(g.scale(2) + const(field, nv, coeff()))
+            basis.insert(rng.randint(0, len(basis)), zero(field, nv))
             with track_denominators() as want_trail:
                 want = normal_form_reference(f, basis)
             with track_denominators() as got_trail:
                 got = normal_form(f, basis)
             assert got == want
             assert got_trail == want_trail
-        assert not normal_form(MPoly.zero(field, 2), [mp(2, {(1, 0): 1}, field)])
+        assert not normal_form(zero(field, 2), [mp(2, {(1, 0): 1}, field)])
 
 
 def _staircase_count(basis, bound=8):
@@ -124,13 +141,13 @@ def _staircase_count(basis, bound=8):
 
 class TestBuchberger:
     def test_inconsistent_linear_system(self):
-        one = MPoly.const(QQ, 1, 1)
+        one = const(QQ, 1, 1)
         res = buchberger([var(0, 1) - one, var(0, 1) - one - one])
         assert contains_one(res) is True
         assert len(res.basis) == 1 and res.basis[0].degree() == 0
 
     def test_single_irreducible_quadratic(self):
-        p = var(0, 1) * var(0, 1) + MPoly.const(QQ, 1, 1)
+        p = var(0, 1) * var(0, 1) + const(QQ, 1, 1)
         res = buchberger([p])
         assert contains_one(res) is False
         assert res.basis == (p,)
@@ -150,7 +167,7 @@ class TestBuchberger:
         # the two known rational solutions vanish on the basis
         for point in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))):
             for b in res.basis:
-                assert not b.evaluate(point)
+                assert not evaluate(b, point)
         # generators reduce to zero and the Buchberger criterion holds
         for gen in (f, g):
             assert not normal_form(gen, list(res.basis))
@@ -166,7 +183,7 @@ class TestBuchberger:
         # Each input is already a Groebner basis: its only pair has coprime
         # leads, so no S-polynomial needs reducing and the cap is not reached.
         p0, p1 = var(0, 2), var(1, 2)
-        one = MPoly.const(QQ, 2, 1)
+        one = const(QQ, 2, 1)
         quartics = [p0 * p0 * p0 * p0, p1 * p1 * p1 * p1]
         for gens, cap in ((quartics, 6), ([p0, p1 - one], 1)):
             res = buchberger(gens, degree_cap=cap)
@@ -187,16 +204,16 @@ class TestBuchberger:
     def test_rational_function_coefficients(self):
         a = QALPHA.alpha
         p0 = var(0, 1, field=QALPHA)
-        f = p0.scale(a) - MPoly.const(QALPHA, 1, QALPHA.one)
+        f = p0.scale(a) - const(QALPHA, 1, QALPHA.one)
         res = buchberger([f])
         assert len(res.basis) == 1
         lead = res.basis[0]
         assert lead.lead_coeff() == QALPHA.one
-        assert lead.constant_term() == -(QALPHA.one / a)
+        assert constant_term(lead) == -(QALPHA.one / a)
 
     def test_zero_and_empty_inputs(self):
         assert buchberger([]).basis == ()
-        assert buchberger([MPoly.zero(QQ, 2)]).basis == ()
+        assert buchberger([zero(QQ, 2)]).basis == ()
         assert contains_one(buchberger([])) is False
 
 
@@ -208,7 +225,8 @@ def _assert_buchberger_criterion(basis):
             assert not normal_form(s, basis)
 
 
-def test_criterion_on_random_ideals():
+def _criterion_ideals():
+    """The generator lists ``test_criterion_on_random_ideals`` runs at cap 8."""
     rng = random.Random(9)
     for _ in range(10):
         nv = rng.randint(1, 3)
@@ -219,7 +237,30 @@ def test_criterion_on_random_ideals():
                 m = tuple(rng.randint(0, 2) for _ in range(nv))
                 terms[m] = random_fraction(rng, 3, 3)
             gens.append(mp(nv, terms))
+        yield [g for g in gens if g]
+
+
+def _common_zero_ideals():
+    """Nonempty generator lists vanishing at a common rational point, so that
+    most bases are larger than {1}; the sympy comparison runs them at cap 6."""
+    rng = random.Random(17)
+    for _ in range(40):
+        nv = rng.randint(2, 3)
+        point = [random_fraction(rng, 3, 3) for _ in range(nv)]
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                terms[tuple(rng.randint(0, 2) for _ in range(nv))] = random_fraction(rng, 3, 3)
+            g = mp(nv, terms)
+            gens.append(g - const(QQ, nv, evaluate(g, point)))
         gens = [g for g in gens if g]
+        if gens:
+            yield gens
+
+
+def test_criterion_on_random_ideals():
+    for gens in _criterion_ideals():
         res = buchberger(gens, degree_cap=8)
         if res.cap_exceeded:
             continue
@@ -230,23 +271,9 @@ def test_criterion_on_random_ideals():
 
 def test_reduced_basis_matches_sympy_on_random_ideals():
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(17)
     compared = 0
-    for _ in range(40):
-        nv = rng.randint(2, 3)
-        # Generators vanishing at a common rational point span a proper ideal,
-        # so most bases are larger than {1}.
-        point = [random_fraction(rng, 3, 3) for _ in range(nv)]
-        gens = []
-        for _ in range(rng.randint(2, 3)):
-            terms = {}
-            for _ in range(rng.randint(2, 4)):
-                terms[tuple(rng.randint(0, 2) for _ in range(nv))] = random_fraction(rng, 3, 3)
-            g = mp(nv, terms)
-            gens.append(g - MPoly.const(QQ, nv, g.evaluate(point)))
-        gens = [g for g in gens if g]
-        if not gens:
-            continue
+    for gens in _common_zero_ideals():
+        nv = gens[0].nvars
         res = buchberger(gens, degree_cap=6)
         if res.cap_exceeded:
             continue
@@ -263,3 +290,161 @@ def test_reduced_basis_matches_sympy_on_random_ideals():
         assert set(res.basis) == want
         compared += 1
     assert compared >= 25
+
+
+# ---------------------------------------------------------------------------
+# The packed-monomial kernel against the exponent-tuple reference
+# (oracles.buchberger_reference, oracles.normal_form_reference).
+
+
+def _decider_residuals(alg, mode):
+    return propagate(alg, mode).residuals
+
+
+def _lsa31():
+    return commutator_algebra(instantiate("LSA3-1"))
+
+
+def _abelian2():
+    return parse_algebra_text("kind = lie\nfield = Q\ndim = 2\nbasis = e1, e2\n")
+
+
+@pytest.mark.parametrize("mode,cap", [(FULL, 3), (FULL, 4), (MODULE_ONLY, 3)])
+def test_golden_groebner_inputs_match_reference(mode, cap):
+    # The Buchberger runs behind test_golden's pinned groebner stages.
+    gens = _decider_residuals(_lsa31(), mode)
+    assert buchberger(gens, degree_cap=cap) == buchberger_reference(gens, degree_cap=cap)
+
+
+def test_random_ideals_match_reference():
+    for ideals, cap in ((_criterion_ideals(), 8), (_common_zero_ideals(), 6)):
+        for gens in ideals:
+            assert buchberger(gens, degree_cap=cap) == buchberger_reference(gens, degree_cap=cap)
+
+
+@pytest.mark.parametrize("mode", [FULL, MODULE_ONLY])
+def test_abelian2_matches_reference_at_any_cap(mode):
+    gens = _decider_residuals(_abelian2(), mode)
+    want = buchberger_reference(gens, degree_cap=6)
+    assert not want.cap_exceeded
+    assert buchberger(gens, degree_cap=6) == want
+    # A cap far past any degree met only widens the packed fields.
+    assert buchberger(gens, degree_cap=10**20) == buchberger_reference(gens, degree_cap=10**20)
+    assert buchberger_reference(gens, degree_cap=10**20) == want
+    reports = [
+        decide_admissible(_abelian2(), degree_cap=cap, mode=mode, witness_search_budget=0)
+        for cap in (6, 10**20)
+    ]
+    assert reports[0].certificate == reports[1].certificate
+
+
+def _qalpha_ideals():
+    a = QALPHA.alpha
+    one = QALPHA.one
+
+    def p(nvars, terms):
+        return mp(nvars, terms, QALPHA)
+
+    return [
+        [p(1, {(1,): a, (0,): -one})],  # test_rational_function_coefficients
+        [p(2, {(2, 0): one, (0, 1): -a}), p(2, {(0, 2): a, (1, 0): -(a + one)})],
+        [
+            p(2, {(1, 1): a + one, (0, 0): -one}),
+            p(2, {(2, 0): a - 2, (0, 1): -one}),
+            p(2, {(0, 2): one, (0, 0): -a}),
+        ],
+        [
+            p(3, {(1, 1, 0): a, (0, 0, 1): -one}),
+            p(3, {(0, 1, 1): one, (1, 0, 0): one - a}),
+            p(3, {(1, 0, 1): a * a, (0, 1, 0): -one, (0, 0, 0): a / (a + 3)}),
+        ],
+    ]
+
+
+def test_qalpha_ideals_match_reference_with_trails():
+    recorded = 0
+    for gens in _qalpha_ideals():
+        for cap in (3, 6):
+            with track_denominators() as want_trail:
+                want = buchberger_reference(gens, degree_cap=cap)
+            with track_denominators() as got_trail:
+                got = buchberger(gens, degree_cap=cap)
+            assert got == want
+            assert got_trail == want_trail
+            recorded += bool(want_trail)
+    assert recorded >= 4
+
+
+def test_normal_form_keeps_content():
+    # Remainders whose coefficients share a factor other than 1, by divisors
+    # whose leads are not 1: fraction-free steps scale them, and the scale
+    # must be divided out again.
+    p0, p1 = var(0, 2), var(1, 2)
+    cases = [
+        (p0 * p0 * 6 + p1 * 4 + const(QQ, 2, 2), [p0 * 3 + const(QQ, 2, 2)]),
+        (p0 * p1 * Fraction(9, 4) - p1 * p1 * 6, [p0 * 6 - p1 * 4, p1 * p1 * 10 + const(QQ, 2, 15)]),
+        (p0 * p0 * p1 * Fraction(-5, 3), [p0 * p1 * 7 - const(QQ, 2, 21), p0 * 2 + p1 * 3]),
+    ]
+    for f, basis in cases:
+        got = normal_form(f, basis)
+        assert got == normal_form_reference(f, basis)
+        assert got and gcd(*(c.numerator for c in got.terms.values())) > 1
+
+
+# Ideals whose Buchberger runs meet exponents next to the width boundaries:
+# caps 7 -> 8 and 15 -> 16 add a bit to every packed field.
+_BOUNDARY_IDEALS = [
+    [mp(2, {(6, 0): 1, (0, 1): -1}), mp(2, {(3, 1): 1, (0, 0): -1})],
+    [mp(2, {(6, 0): 1, (0, 1): -1}), mp(2, {(3, 1): 2, (1, 0): 1, (0, 0): -1})],
+    [mp(2, {(7, 0): 1, (0, 2): -1}), mp(2, {(3, 1): 1, (0, 0): -1})],
+    [mp(2, {(6, 1): 1, (0, 3): -2, (1, 0): 1}), mp(2, {(2, 2): 3, (1, 0): -1, (0, 0): 5})],
+    [mp(2, {(15, 0): 1, (0, 2): -1}), mp(2, {(7, 1): 2, (0, 0): -3})],
+    [mp(2, {(14, 1): 1, (0, 3): -2, (1, 0): 1}), mp(2, {(3, 2): 3, (1, 0): -1, (0, 0): 5})],
+    [
+        mp(3, {(5, 1, 0): 1, (0, 0, 2): -1}),
+        mp(3, {(0, 4, 2): 2, (1, 0, 0): -1}),
+        mp(3, {(0, 0, 3): 1, (0, 1, 0): -2}),
+    ],
+    [mp(2, {(1, 6): 1, (2, 0): -1}), mp(2, {(3, 3): 1, (0, 1): -1})],
+]
+
+
+@pytest.mark.parametrize("cap", [7, 8, 15, 16])
+def test_width_boundaries_match_reference(cap):
+    outcomes = set()
+    for gens in _BOUNDARY_IDEALS:
+        want = buchberger_reference(gens, degree_cap=cap)
+        assert buchberger(gens, degree_cap=cap) == want
+        outcomes.add(want.cap_exceeded)
+        pad = (0,) * (gens[0].nvars - 2)
+        f = mp(2 + len(pad), {(cap, 0) + pad: 3, (cap - 1, 1) + pad: -2, (1, cap - 2) + pad: 1})
+        assert normal_form(f, gens) == normal_form_reference(f, gens)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("max_degree", [7, 8, 15, 16])
+def test_packing_arithmetic_order_and_divisibility(max_degree):
+    packing = _Packing(2, max_degree)
+    monos = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
+    packed = {m: packing.pack(m) for m in monos}
+    for m, v in packed.items():
+        assert packing.unpack(v) == m and packing.degree(v) == sum(m)
+    assert sorted(monos, key=packed.get) == sorted(monos, key=_degrevlex_desc_key)
+    for u in monos:
+        for v in monos:
+            divides = u[0] <= v[0] and u[1] <= v[1]
+            assert (not (packed[v] - packed[u]) & packing.guard) == divides
+            if sum(u) + sum(v) <= max_degree:
+                assert packed[u] + packed[v] == packed[(u[0] + v[0], u[1] + v[1])]
+
+
+def test_lsa31_full_mode_decided_at_cap_7():
+    L = _lsa31()
+    rep = decide_admissible(L, degree_cap=7, mode=FULL, witness_search_budget=0)
+    assert rep.verdict == ADMISSIBLE
+    (stage,) = [st for st in rep.certificate if st["stage"] == "groebner"]
+    assert stage["spairs"] == 139 and stage["basis_size"] == 21 and stage["max_degree"] == 5
+    assert not stage["cap_exceeded"] and stage["contains_one"] is False
+    basis = list(rep.groebner.basis)
+    for g in _decider_residuals(L, FULL):
+        assert not normal_form_reference(g, basis)
