@@ -10,20 +10,21 @@ flattened to n^3 coordinates.  The decision pipeline is
   2. propagation loop: the module-identity residuals on the current affine
      solution space are degree <= 2 polynomials in its free parameters,
      built straight from the space's affine coordinate forms as dicts on
-     integer monomial keys whose natural order is the elimination's column
-     order; all degree <= 1 members of their span are intersected back until
-     a fixed point.  When the span holds none and there are at most
-     ``PRODUCTS_DIM_LIMIT`` parameters, it is enlarged by the multiples of the
-     residuals by each parameter, taken as the multiples of the echelon rows
-     the same elimination left (same span, fewer rows), with the rows that
-     alone hold a degree >= 2 monomial left out (no degree <= 1 member can
-     use them).  The leftovers become ``MPoly`` only on the way out;
+     ``multipoly``'s packed monomials, whose ascending order is the
+     elimination's column order; all degree <= 1 members of their span are
+     intersected back until a fixed point.  When the span holds none and
+     there are at most ``PRODUCTS_DIM_LIMIT`` parameters, it is enlarged by
+     the multiples of the residuals by each parameter, taken as the multiples
+     of the echelon rows the same elimination left (same span, fewer rows),
+     with the rows that alone hold a degree >= 2 monomial left out (no
+     degree <= 1 member can use them);
   3. endgame for the strictly quadratic leftovers: a budgeted search for a
      rational point (pin a parameter, re-propagate, recurse) settles the
      satisfiable cases constructively; whatever it cannot settle goes to a
      degree-capped Buchberger run, where a basis containing 1 certifies
      infeasibility over the algebraic closure and any other basis certifies
-     that solutions exist there.
+     that solutions exist there.  The leftovers become ``MPoly`` only for
+     that run.
 
 Every step is deterministic, so certificates are byte-for-byte reproducible.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .algebra import (
     OmegaLieAlgebra,
@@ -45,7 +45,7 @@ from .algebra import (
 from .errors import AxiomCheckError
 from .fields import QQ, rational_roots, Poly
 from .linalg import AffineSpace, Matrix, eliminate, intersect, solve_affine
-from .multipoly import GroebnerResult, MPoly, buchberger, contains_one
+from .multipoly import GroebnerResult, MPoly, Packing, buchberger, contains_one
 
 FULL = "full"
 MODULE_ONLY = "module_only"
@@ -129,72 +129,31 @@ def jacobi_consequence_constraints(L: OmegaLieAlgebra) -> list[dict]:
     return rows
 
 
-def _mono_key(indices, d):
-    """Key of the product of x_i over ``indices`` (at most three of the d
-    parameter indices, repeats allowed): with B = d + 1 and the indices in
-    descending order i1 >= i2 >= i3, missing ones read as 0, the key is
-    (3 - degree) * B^3 + i1 * B^2 + i2 * B + i3."""
-    B = d + 1
-    i1, i2, i3 = sorted(indices, reverse=True) + [0] * (3 - len(indices))
-    return (3 - len(indices)) * B**3 + i1 * B**2 + i2 * B + i3
-
-
-def _key_indices(key, d):
-    """The parameter indices of a key's monomial, in descending order."""
-    B = d + 1
-    return (key // B**2 % B, key // B % B, key % B)[: 3 - key // B**3]
-
-
-@cache
-def _times_params(key, d):
-    """Keys of the key's monomial times x_0, ..., x_{d-1}.  The harvest asks
-    only for keys of degree <= 2 with d <= ``PRODUCTS_DIM_LIMIT``, which
-    bounds the cache to a few thousand entries."""
-    indices = _key_indices(key, d)
-    return tuple(_mono_key(indices + (u,), d) for u in range(d))
-
-
-def _pair_keys(d):
-    """keys[p][q] is the key of x_p * x_q, where index d stands for 1: with
-    B = d + 1, B^3 + max(p, q) * B^2 + min(p, q) * B for p, q < d, and the
-    key of the other factor when one of them is d."""
-    B = d + 1
-    high = [B**3 + p * B**2 for p in range(d)]
-    low = [p * B for p in range(d)]
-    linear = [_mono_key([p], d) for p in range(d)]
-    keys = [
-        [high[p] + low[q] for q in range(p)] + [high[q] + low[p] for q in range(p, d)] + [linear[p]]
-        for p in range(d)
-    ]
-    return keys + [linear + [_mono_key([], d)]]
-
-
 def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[dict]:
     """Residuals of l_[ei,ej] - [l_i, l_j] - w(i,j) id on the space.
 
     Each residual is a polynomial of degree <= 2 in the space's d free
-    parameters, given as a dict ``{key: nonzero coefficient}`` whose keys are
-    those of :func:`_mono_key`: x_p * x_q (p >= q) is B^3 + p*B^2 + q*B, x_t
-    is 2*B^3 + t*B^2 and the constant 3*B^3, with B = d + 1.  Ascending key
-    order is the harvest's column order (see :func:`_harvest_linear`).
+    parameters, given as a dict ``{monomial: nonzero coefficient}`` on the
+    monomials of ``Packing(d, 3)``, so ascending keys are descending degrevlex,
+    the harvest's column order (see :func:`_harvest_linear`).
     Identically-zero entries are dropped.  Ordering is pairs (i < j) then
     entries row-major, so the system is deterministic.
     """
     n = L.dim
     d = space.dim
-    keys = _pair_keys(d)
-    # The affine form of each ambient coordinate: (parameter, entry) pairs,
-    # with index d for the origin's entry.
+    unit = Packing(d, 3).units()
+    # The affine form of each ambient coordinate: (packed x_t, entry) pairs,
+    # with the packed 1 for the origin's entry.
     forms = [[] for _ in range(n**3)]
     for t, row in enumerate(space.basis):
         for v, b in row.items():
-            forms[v].append((t, b))
+            forms[v].append((unit[t], b))
     for v, o in enumerate(space.origin):
         if o:
-            forms[v].append((d, o))
+            forms[v].append((unit[d], o))
     X = [[[forms[_var(n, i, r, c)] for c in range(n)] for r in range(n)] for i in range(n)]
     negX = [[[[(p, -a) for p, a in f] for f in row] for row in mat] for mat in X]
-    one_key = keys[d][d]
+    one_key = unit[d]
     out = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -206,14 +165,12 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[di
                     for k in range(n):  # -(X_i X_j)[r][c] + (X_j X_i)[r][c]
                         for x, y in ((negX[i][r][k], X[j][k][c]), (X[j][r][k], X[i][k][c])):
                             for p, a in x:
-                                kp = keys[p]
                                 for q, b in y:
-                                    key = kp[q]
+                                    key = p + q
                                     ab = a * b
                                     acc[key] = acc[key] + ab if key in acc else ab
                     for m, v in br:
-                        for p, a in X[m][r][c]:
-                            key = keys[p][d]
+                        for key, a in X[m][r][c]:
                             acc[key] = acc[key] + v * a if key in acc else v * a
                     if r == c and wij:
                         acc[one_key] = acc[one_key] - wij if one_key in acc else -wij
@@ -242,35 +199,35 @@ def _harvest_linear(residuals, d, field, with_products):
     (rows, whether the multiples were used).
 
     The residuals are keyed as in :func:`module_identity_residuals`, and the
-    keys are the columns.  Ascending key order is: degree 3, then degree 2,
-    each in descending degrevlex (at one degree, the larger the largest index
-    the later, then the next index, as degrevlex's reversed exponents
-    compare), then x_0 .. x_{d-1}, then 1.  So the elimination pivots on the
-    degree >= 2 monomials first and never needs the keys sorted, and a row of
-    the RREF is degree <= 1 iff its pivot is at least the key of x_0.
+    keys are the columns.  Ascending packed monomials are descending
+    degrevlex (see :mod:`omlie.multipoly`): degree 3, then degree 2, then
+    x_0 .. x_{d-1}, then 1.  So the elimination pivots on the degree >= 2
+    monomials first and never needs the keys sorted, and a row of the RREF is
+    degree <= 1 iff its pivot is at least the packed x_0.
 
     The residuals are eliminated once.  With ``with_products`` and no
     degree <= 1 row in the plain span, the span is enlarged by the multiples
     of the residuals by each parameter, taken as the multiples of the
     echelon rows that elimination set aside: they span what the residuals
     span, so their multiples span the same space, and the degree <= 1 rows
-    are the same.  A table maps each key that occurs to the keys of its
-    multiples by x_0 .. x_{d-1}.  Then every row that alone holds some
-    degree >= 2 monomial is dropped, over and over until none is left: a
-    combination free of degree >= 2 terms cannot use such a row, so the
-    harvest stays the same.  A degree <= 1 column never drops a row, since
-    those entries are what the harvest keeps.
+    are the same.  Multiplying by x_u adds its packed monomial to every key.
+    Then every row that alone holds some degree >= 2 monomial is dropped,
+    over and over until none is left: a combination free of degree >= 2
+    terms cannot use such a row, so the harvest stays the same.  A
+    degree <= 1 column never drops a row, since those entries are what the
+    harvest keeps.
     """
-    lin = _mono_key([0], d)
+    unit = Packing(d, 3).units()
+    lin, one_key = unit[0], unit[d]
     rows, pivots = eliminate(field, residuals, lin)
     used_products = with_products and (not pivots or pivots[-1] < lin)
     if used_products:
-        shift = {c: _times_params(c, d) for row in rows for c in row}
-        rows += [{shift[c][u]: v for c, v in row.items()} for row in rows for u in range(d)]
+        params = unit[:d]
+        rows += [{c + x: v for c, v in row.items()} for row in rows for x in params]
         rows, pivots = eliminate(field, _drop_lone_rows(rows, lin), lin)
-    # Keys to parameter columns; the constant becomes the right-hand side.
-    one_key = _mono_key([], d)
-    param = {_mono_key([t], d): t for t in range(d)} | {one_key: d}
+    # Packed monomials to parameter columns; the constant becomes the
+    # right-hand side.
+    param = {x: t for t, x in enumerate(unit)}
     linear = [row for row, pc in zip(rows, pivots) if pc >= lin]
     return [
         {param[c]: -v if c == one_key else v for c, v in row.items()} for row in linear
@@ -278,20 +235,16 @@ def _harvest_linear(residuals, d, field, with_products):
 
 
 def _as_mpolys(residuals, d, field):
-    """Keyed residuals as MPoly, for the rational-point search and Buchberger."""
-    exponents = {}
-    for p in residuals:
-        for key in p:
-            if key not in exponents:
-                e = [0] * d
-                for i in _key_indices(key, d):
-                    e[i] += 1
-                exponents[key] = tuple(e)
-    return [MPoly(field, d, {exponents[key]: v for key, v in p.items()}) for p in residuals]
+    """Keyed residuals as MPoly, for Buchberger."""
+    unpack = Packing(d, 3).unpack
+    return [MPoly(field, d, {unpack(m): v for m, v in p.items()}) for p in residuals]
 
 
 @dataclass
 class PropagationResult:
+    """The final space, the leftover residuals keyed as in
+    :func:`module_identity_residuals` on its parameters, and the stage trace."""
+
     space: AffineSpace
     residuals: list
     trace: list
@@ -302,8 +255,8 @@ def _consequence_fixed_point(L, space, trace=None):
 
     Returns (space, residuals) where residuals is empty when the space became
     infeasible or satisfies the identities outright; otherwise it holds the
-    strictly quadratic leftovers at the fixed point, converted to MPoly once
-    on the way out.
+    strictly quadratic leftovers at the fixed point, keyed as in
+    :func:`module_identity_residuals` on the returned space's parameters.
     """
     field = L.field
     iteration = 0
@@ -330,7 +283,7 @@ def _consequence_fixed_point(L, space, trace=None):
                 }
             )
         residuals = []
-    return space, _as_mpolys(residuals, space.dim, field)
+    return space, residuals
 
 
 def propagate(L: OmegaLieAlgebra, mode: str = FULL) -> PropagationResult:
@@ -414,26 +367,21 @@ _DEFAULT_CANDIDATES = (
 )
 
 
-def _univariate_to_poly(p: MPoly, var: int) -> Poly:
-    coeffs = {}
-    for m, c in p.terms.items():
-        coeffs[m[var]] = c
-    top = max(coeffs)
-    return Poly([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
-
-
-def _branch_candidates(residuals, field):
+def _branch_candidates(residuals, d, field):
     """Pick the parameter to pin next and the values to try.
 
     A residual that became univariate pins its variable to the exact rational
     roots; otherwise the first parameter is tried over a small default list.
     """
     if field is QQ:
+        packing = Packing(d, 3)
         for p in residuals:
-            sv = p.support_vars()
-            if len(sv) == 1:
-                var = next(iter(sv))
-                roots = rational_roots(_univariate_to_poly(p, var))
+            support = packing.support(p)
+            if len(support) == 1:
+                (var,) = support
+                coeffs = {packing.degree(m): c for m, c in p.items()}
+                poly = Poly([coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)])
+                roots = rational_roots(poly)
                 return var, sorted(roots, key=lambda r: (abs(r), r < 0))
     return 0, list(_DEFAULT_CANDIDATES)
 
@@ -457,7 +405,7 @@ def _find_rational_point(L, prop: PropagationResult, budget: int = 400):
         if state[0] <= 0:
             return None
         state[0] -= 1
-        var, cands = _branch_candidates(residuals, field)
+        var, cands = _branch_candidates(residuals, space.dim, field)
         for val in cands:
             sub = space.restrict([{var: field.one, space.dim: field.coerce(val)}])
             sub, res = _consequence_fixed_point(L, sub)
@@ -543,7 +491,8 @@ def decide_admissible(
             "rational solution of the operator system found",
             "rational witness found by guided search",
         )
-    gres = buchberger(prop.residuals, degree_cap=degree_cap)
+    gens = _as_mpolys(prop.residuals, prop.space.dim, L.field)
+    gres = buchberger(gens, degree_cap=degree_cap)
     stage = {
         "stage": "groebner",
         "order": "degrevlex",

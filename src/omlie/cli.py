@@ -76,8 +76,6 @@ def _failure_payload(algebra, report):
         entry = {"law": law, "at": [names[i] for i in key]}
         if isinstance(residual, tuple):
             entry["residual"] = format_combination(residual, names, field)
-        elif hasattr(residual, "rows"):
-            entry["residual"] = [[field.format(v) for v in row] for row in residual.rows]
         else:
             entry["residual"] = field.format(residual)
         out.append(entry)

@@ -2,7 +2,8 @@
 Buchberger algorithm with detection of 1 in the ideal.
 
 ``MPoly`` keeps its terms as {exponent tuple: coefficient}.  Division and
-Buchberger work on packed monomials instead (Monagan & Pearce 2007,
+Buchberger, and the decider's residuals and harvest in ``admissible``, work
+on packed monomials instead (``Packing``; Monagan & Pearce 2007,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors"): a monomial is one int, holding exponent i in a field of ``w`` bits
 at bit ``w*i`` and the total degree, negated, above all of them.  ``w`` leaves
@@ -140,14 +141,6 @@ class MPoly:
         inv = self.field.one / lc
         return self._like({m: c * inv for m, c in self.terms.items()})
 
-    def support_vars(self) -> set[int]:
-        out = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(i)
-        return out
-
     def format(self, names=None) -> str:
         if not self.terms:
             return "0"
@@ -174,7 +167,7 @@ class MPoly:
         return f"MPoly({self.format()})"
 
 
-class _Packing:
+class Packing:
     """Packed monomials in ``nvars`` variables of total degree at most ``max_degree``."""
 
     __slots__ = ("nvars", "width", "top", "guard")
@@ -199,9 +192,24 @@ class _Packing:
     def degree(self, m) -> int:
         return -(m >> self.top)
 
+    def support(self, monomials) -> list[int]:
+        """The variables with a nonzero exponent in some of the packed monomials."""
+        fields = 0
+        for m in monomials:
+            fields |= m  # the negated degree sits above the fields: they OR alone
+        w = self.width
+        return [i for i in range(self.nvars) if fields >> (w * i) & ((1 << w) - 1)]
+
+    def units(self) -> list[int]:
+        """x_0, ..., x_{nvars-1} packed, then the constant 1 packed (as 0)."""
+        w, one = self.width, -1 << self.top
+        return [one + (1 << (w * i)) for i in range(self.nvars)] + [0]
+
     def pack_terms(self, p: MPoly):
         """p's terms on packed keys, lead first, with the factor they were scaled
         by: over Q the coefficients become ints, scaled by their denominators' lcm."""
+        if p.nvars != self.nvars:
+            raise ValueError(f"polynomial in {p.nvars} variables, expected {self.nvars}")
         pack = self.pack
         items = sorted((pack(m), c) for m, c in p.terms.items())
         if p.field is not QQ:
@@ -302,7 +310,7 @@ def normal_form(f: MPoly, basis) -> MPoly:
     basis = [g for g in basis if g]
     if not f:
         return f._like({})
-    packing = _Packing(f.nvars, max(p.degree() for p in (f, *basis)))
+    packing = Packing(f.nvars, max(p.degree() for p in (f, *basis)))
     field = f.field
     divisors = []
     for g in basis:
@@ -327,7 +335,7 @@ def interreduce(polys) -> list[MPoly]:
     if not polys:
         return []
     field = polys[0].field
-    packing = _Packing(polys[0].nvars, max(p.degree() for p in polys))
+    packing = Packing(polys[0].nvars, max(p.degree() for p in polys))
     polys = [_element(packing.pack_terms(p)[0], field) for p in polys]
     changed = True
     while changed:
@@ -407,7 +415,7 @@ def buchberger(gens, degree_cap: int = 6) -> GroebnerResult:
     # Every monomial met has degree at most the cap: the S-polynomial of a
     # selected pair has its lcm's degree, and division only lowers monomials.
     field = G[0].field
-    packing = _Packing(G[0].nvars, degree_cap)
+    packing = Packing(G[0].nvars, degree_cap)
     guard = packing.guard
     basis = [_element(packing.pack_terms(p)[0], field) for p in G]
     leads = [packing.unpack(p[0]) for p in basis]

@@ -6,10 +6,13 @@ double-check the unordered-triple reductions inside the package.
 """
 
 import heapq
+from fractions import Fraction
 from itertools import product as iproduct
 from math import inf
 from operator import add, sub
 
+from omlie.admissible import _DEFAULT_CANDIDATES
+from omlie.fields import QQ, Poly, rational_roots
 from omlie.multipoly import GroebnerResult, MPoly
 
 
@@ -386,6 +389,23 @@ def harvest_reference(residuals, d, field, with_products):
     rows = [row for row, pc in zip(rows, pivots) if pc >= nhigh]
     # Shift to parameter columns; the constant column becomes the right-hand side.
     return [{c - nhigh: -v if c == nhigh + d else v for c, v in row.items()} for row in rows]
+
+
+def branch_candidates_reference(residuals, field):
+    """The search's branching choice on MPoly residuals, as the decider made
+    it before the search ran on packed monomials: the first residual with one
+    variable in its support pins that variable to its rational roots, by
+    absolute value, positive first; otherwise parameter 0 over the default
+    candidates."""
+    if field is QQ:
+        for p in residuals:
+            support = {i for m in p.terms for i, e in enumerate(m) if e}
+            if len(support) == 1:
+                (var,) = support
+                coeffs = {m[var]: c for m, c in p.terms.items()}
+                poly = Poly([coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)])
+                return var, sorted(rational_roots(poly), key=lambda r: (abs(r), r < 0))
+    return 0, list(_DEFAULT_CANDIDATES)
 
 
 def _var(n, i, r, c):

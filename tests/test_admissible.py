@@ -34,9 +34,15 @@ from omlie.cli import theorem_targets
 from omlie.errors import AxiomCheckError
 from omlie.fields import QALPHA, QQ
 from omlie.linalg import Matrix, intersect, solve_affine
-from omlie.multipoly import MPoly, _degrevlex_desc_key
+from omlie.multipoly import MPoly, Packing, _degrevlex_desc_key
 
-from oracles import eliminate_reference, harvest_reference, random_fraction, residuals_reference
+from oracles import (
+    branch_candidates_reference,
+    eliminate_reference,
+    harvest_reference,
+    random_fraction,
+    residuals_reference,
+)
 
 
 def a_alpha(field=QALPHA, alpha=None):
@@ -422,10 +428,8 @@ def _full_elimination(field, rows, keep_from=0):
 
 def _keyed(p):
     """An MPoly's terms keyed as the harvest keys them."""
-    return {
-        admissible._mono_key([i for i, e in enumerate(m) for _ in range(e)], p.nvars): c
-        for m, c in p.terms.items()
-    }
+    pack = Packing(p.nvars, 3).pack
+    return {pack(m): c for m, c in p.terms.items()}
 
 
 def _loop_harvest_reference(residuals, d, with_products):
@@ -532,11 +536,16 @@ def test_drop_lone_rows_runs_to_a_fixed_point():
 
 
 def test_monomial_keys_follow_the_harvest_column_order():
-    # Every monomial of degree <= 3 in d parameters: the keys are distinct,
-    # decode to their indices, and ascend as the harvest's columns do: the
-    # degree >= 2 monomials in descending degrevlex, then x_0 .. x_{d-1},
-    # then 1.
+    # Every monomial of degree <= 3 in d parameters, packed as the residuals
+    # and the harvest pack them: the keys are distinct, unpack to their
+    # exponents, and ascend as the harvest's columns do: the degree >= 2
+    # monomials in descending degrevlex, then x_0 .. x_{d-1}, then 1.  The
+    # key of a product is the sum of its factors' keys, with unit[t] the key
+    # of x_t and unit[d] that of 1, and the harvest's threshold unit[0] is
+    # the least key of degree <= 1.
     for d in range(0, 9):
+        packing = Packing(d, 3)
+        unit = packing.units()
         monomials = [
             indices
             for degree in range(4)
@@ -547,13 +556,66 @@ def test_monomial_keys_follow_the_harvest_column_order():
             (m for m in monomials if len(m) >= 2), key=lambda m: _degrevlex_desc_key(exponent[m])
         )
         columns = high + [(t,) for t in range(d)] + [()]
-        keys = [admissible._mono_key(m, d) for m in columns]
+        keys = [packing.pack(exponent[m]) for m in columns]
         assert keys == sorted(set(keys))
+        key_of = dict(zip(columns, keys))
+        assert unit == [key_of[(t,)] for t in range(d)] + [key_of[()]]
         for m, key in zip(columns, keys):
-            assert admissible._key_indices(key, d) == tuple(sorted(m, reverse=True))
+            assert packing.unpack(key) == exponent[m]
             assert admissible._as_mpolys([{key: QQ.one}], d, QQ)[0].terms == {exponent[m]: QQ.one}
-        if d:
-            assert admissible._mono_key([0], d) == min(k for m, k in zip(columns, keys) if len(m) < 2)
+            if len(m) < 3:
+                for u in range(d):
+                    assert key + unit[u] == key_of[tuple(sorted(m + (u,)))]
+        for p in range(d + 1):
+            for q in range(d + 1):
+                pair = tuple(sorted(t for t in (p, q) if t < d))
+                assert unit[p] + unit[q] == key_of[pair]
+        assert unit[0] == min(k for m, k in key_of.items() if len(m) < 2)
+
+
+def test_branch_candidates_match_mpoly_reference(monkeypatch):
+    # At every node of the rational-point search, the parameter and values
+    # read off the packed residuals are those the MPoly version picks.  Inputs:
+    # the LSA3-1 commutator at its default and at four seeded parameter
+    # triples, and abelian dims 2 and 3, each in both modes; the abelian ones
+    # in full mode reach univariate residuals.
+    choose = admissible._branch_candidates
+    nodes = []
+
+    def recording(residuals, d, field):
+        got = choose(residuals, d, field)
+        nodes.append((got, admissible._as_mpolys(residuals, d, field), field))
+        return got
+
+    monkeypatch.setattr(admissible, "_branch_candidates", recording)
+    rng = random.Random(14)
+    triples = [{}] + [{p: str(random_fraction(rng)) for p in ("a1", "a2", "a3")} for _ in range(4)]
+    inputs = [commutator_algebra(instantiate("LSA3-1", params, QQ)) for params in triples]
+    for L in inputs + [abelian(QQ, 2), abelian(QQ, 3)]:
+        for mode in (FULL, MODULE_ONLY):
+            assert decide_admissible(L, mode=mode).verdict == ADMISSIBLE
+    monkeypatch.undo()
+    # Hand-made systems in 3 parameters: two univariate residuals after a
+    # bivariate one (the first is taken); one without rational roots; none;
+    # roots of equal absolute value; Q(alpha).
+    x = [MPoly(QQ, 3, {tuple(int(i == t) for i in range(3)): 1}) for t in range(3)]
+    one = MPoly(QQ, 3, {(0, 0, 0): 1})
+    for polys in (
+        [x[0] * x[1] + one, x[2] * x[2] - x[2] - one.scale(2), x[0] * x[0] - one],
+        [x[0] * x[2], x[1] * x[1] - one.scale(2)],
+        [x[0] * x[1] - x[2]],
+        [x[0] * x[0] - one],
+    ):
+        nodes.append((choose([_keyed(p) for p in polys], 3, QQ), polys, QQ))
+    polys = [MPoly(QALPHA, 3, {(0, 2, 0): QALPHA.one, (0, 0, 0): -QALPHA.one})]
+    nodes.append((choose([_keyed(p) for p in polys], 3, QALPHA), polys, QALPHA))
+    for got, polys, field in nodes:
+        assert got == branch_candidates_reference(polys, field)
+    # Both kinds of choice occur: a univariate residual's roots, and the
+    # default list.
+    defaults = [got[1] == list(admissible._DEFAULT_CANDIDATES) for got, _, _ in nodes]
+    assert any(defaults) and not all(defaults)
+    assert (2, [Fraction(-1), Fraction(2)]) in [got for got, _, _ in nodes]
 
 
 def test_residuals_match_symbolic_matrix_products(monkeypatch):

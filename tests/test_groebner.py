@@ -5,7 +5,14 @@ from math import gcd
 
 import pytest
 
-from omlie.admissible import ADMISSIBLE, FULL, MODULE_ONLY, decide_admissible, propagate
+from omlie.admissible import (
+    ADMISSIBLE,
+    FULL,
+    MODULE_ONLY,
+    _as_mpolys,
+    decide_admissible,
+    propagate,
+)
 from omlie.algebra import commutator_algebra
 from omlie.catalog import instantiate
 from omlie.fields import QALPHA, QQ, track_denominators
@@ -13,9 +20,10 @@ from omlie.fileformat import parse_algebra_text
 from omlie.multipoly import (
     MPoly,
     _degrevlex_desc_key,
-    _Packing,
+    Packing,
     buchberger,
     contains_one,
+    interreduce,
     normal_form,
 )
 
@@ -298,7 +306,8 @@ def test_reduced_basis_matches_sympy_on_random_ideals():
 
 
 def _decider_residuals(alg, mode):
-    return propagate(alg, mode).residuals
+    prop = propagate(alg, mode)
+    return _as_mpolys(prop.residuals, prop.space.dim, alg.field)
 
 
 def _lsa31():
@@ -422,9 +431,9 @@ def test_width_boundaries_match_reference(cap):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("max_degree", [7, 8, 15, 16])
+@pytest.mark.parametrize("max_degree", [3, 7, 8, 15, 16])
 def test_packing_arithmetic_order_and_divisibility(max_degree):
-    packing = _Packing(2, max_degree)
+    packing = Packing(2, max_degree)
     monos = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
     packed = {m: packing.pack(m) for m in monos}
     for m, v in packed.items():
@@ -434,8 +443,24 @@ def test_packing_arithmetic_order_and_divisibility(max_degree):
         for v in monos:
             divides = u[0] <= v[0] and u[1] <= v[1]
             assert (not (packed[v] - packed[u]) & packing.guard) == divides
+            assert packing.support([packed[u], packed[v]]) == [i for i in (0, 1) if u[i] or v[i]]
             if sum(u) + sum(v) <= max_degree:
                 assert packed[u] + packed[v] == packed[(u[0] + v[0], u[1] + v[1])]
+
+
+def test_mixed_variable_counts_are_rejected():
+    # x0 + x1 in 2 variables divided by x2 in 3: packed for 2 variables, x2's
+    # exponent would spill into the degree field and give a wrong remainder.
+    f = mp(2, {(1, 0): 1, (0, 1): 1})
+    g = mp(3, {(0, 0, 1): 1})
+    for divide in (lambda: normal_form(f, [g]), lambda: normal_form(g, [f])):
+        with pytest.raises(ValueError, match="variables"):
+            divide()
+    for gens in ([f, g], [g, f]):
+        with pytest.raises(ValueError, match="variables"):
+            interreduce(gens)
+        with pytest.raises(ValueError, match="variables"):
+            buchberger(gens, degree_cap=6)
 
 
 def test_lsa31_full_mode_decided_at_cap_7():
