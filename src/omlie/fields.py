@@ -3,9 +3,19 @@
 Scalars are either arbitrary-precision rationals (plain ``fractions.Fraction``)
 or elements of Q(alpha), the field of rational functions in one formal
 parameter over Q.  ``Poly`` is a dense univariate polynomial with Fraction
-coefficients, index = degree, trailing coefficient nonzero.  ``RatFunc`` is a
-reduced quotient of two ``Poly`` with monic denominator, so equal field
-elements are representationally equal and ``==`` is cheap.
+coefficients, index = degree, trailing coefficient nonzero.
+
+``RatFunc`` holds an element as two tuples of ints, numerator and
+denominator coefficients from degree 0 up, in one canonical form: the two are
+coprime in Q[alpha], the gcd of all their coefficients together is 1, the
+denominator's lead coefficient is positive, and zero is ``((), (1,))``.  So
+equal field elements are representationally equal and ``==`` is a tuple
+compare.  With constant denominators (the common case) ``+`` and ``*`` are
+int convolutions plus one ``math.gcd``, as ``Fraction`` does for ints;
+otherwise products cross-cancel and sums reduce by polynomial gcds, taken by a
+primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1) and only
+between non-constant polynomials.  ``num`` and ``den`` give the element as
+``Poly`` with a monic denominator.
 
 There is no floating point anywhere in this package.  Working in Q(alpha)
 means "generic alpha": every nonzero rational function is invertible, which is
@@ -112,34 +122,6 @@ class Poly:
             n >>= 1
         return out
 
-    def __divmod__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), Poly(rem)
-        quo = [Fraction(0)] * (dq + 1)
-        olc = other.lc()
-        for top in range(len(rem) - 1, len(other.coeffs) - 2, -1):
-            c = rem[top]
-            if not c:
-                continue
-            f = c / olc
-            quo[top - other.degree] = f
-            for k, oc in enumerate(other.coeffs):
-                rem[top - other.degree + k] -= f * oc
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def monic(self) -> "Poly":
         if not self or self.lc() == 1:
             return self
@@ -164,17 +146,132 @@ def _as_poly(v):
     return None
 
 
-POLY_ZERO = Poly()
-POLY_ONE = Poly((1,))
-POLY_ALPHA = Poly((0, 1))
+# Integer polynomials: tuples of ints from degree 0 up, no trailing zero, and
+# () for zero.
+
+
+def _int_form(v):
+    """(coefficients, positive int) whose quotient is the int, Fraction or Poly ``v``."""
+    if isinstance(v, Poly):
+        scale = 1
+        for c in v.coeffs:
+            d = c.denominator
+            scale = scale * d // gcd(scale, d)
+        return tuple([c.numerator * (scale // c.denominator) for c in v.coeffs]), scale
+    if isinstance(v, (int, Fraction)):
+        return ((v.numerator,) if v else ()), v.denominator
+    return None
+
+
+def _ip_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _ip_scale(a, c):
+    return a if c == 1 else tuple([c * x for x in a])
+
+
+def _ip_mul(a, b):
+    if len(a) == 1:
+        return _ip_scale(b, a[0])
+    if len(b) == 1:
+        return _ip_scale(a, b[0])
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _ip_pow(a, n):
+    out = (1,)
+    while n:
+        if n & 1:
+            out = _ip_mul(out, a)
+        n >>= 1
+        if n:
+            a = _ip_mul(a, a)
+    return out
+
+
+def _ip_primitive(a):
+    """``a`` divided by its content, lead coefficient made positive."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple([c // g for c in a])
+
+
+def _ip_prem(a, b):
+    """c * a mod b for some nonzero int c, with b non-constant."""
+    r = list(a)
+    lb = b[-1]
+    top = len(b) - 1
+    while len(r) > top:
+        c = r[-1]
+        g = gcd(c, lb)
+        s, t = lb // g, c // g
+        shift = len(r) - 1 - top
+        if s != 1:
+            r = [s * x for x in r]
+        for k in range(top):
+            r[shift + k] -= t * b[k]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _ip_gcd(a, b):
+    """Primitive gcd with positive lead coefficient, by the primitive PRS; gcd(0, 0) = ()."""
+    if not b:
+        return _ip_primitive(a) if a else ()
+    if not a:
+        return _ip_primitive(b)
+    a, b = _ip_primitive(a), _ip_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _ip_prem(a, b)
+        if not r:
+            return b
+        a, b = b, _ip_primitive(r)
+    return (1,)
+
+
+def _ip_exquo(a, b):
+    """The quotient a / b, known to be an integer polynomial."""
+    r = list(a)
+    lb = b[-1]
+    top = len(b) - 1
+    q = [0] * (len(a) - top)
+    for i in range(len(q) - 1, -1, -1):
+        f = r[i + top] // lb
+        if f:
+            q[i] = f
+            for k in range(top):
+                r[i + k] -= f * b[k]
+    return tuple(q)
+
+
+def _monic_poly(a) -> Poly:
+    lc = a[-1] if a else 1
+    return Poly(tuple(Fraction(c, lc) for c in a))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm; gcd(0, 0) = 0."""
-    a, b = p, q
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd; gcd(0, 0) = 0."""
+    return _monic_poly(_ip_gcd(_int_form(p)[0], _int_form(q)[0]))
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
@@ -182,22 +279,13 @@ def rational_roots(p: Poly) -> list[Fraction]:
     if not p:
         raise ValueError("the zero polynomial has every root")
     roots = set()
-    coeffs = list(p.coeffs)
-    if not coeffs[0]:
+    ints = _ip_primitive(_int_form(p)[0])
+    if not ints[0]:
         roots.add(Fraction(0))
-        while not coeffs[0]:
-            coeffs.pop(0)
-    if len(coeffs) == 1:
+        while not ints[0]:
+            ints = ints[1:]
+    if len(ints) == 1:
         return sorted(roots)
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        den = den * d // gcd(den, d)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
     for pn in _divisors(abs(ints[0])):
         for qn in _divisors(abs(ints[-1])):
             for cand in (Fraction(pn, qn), Fraction(-pn, qn)):
@@ -267,88 +355,162 @@ def _record_inversion(num: Poly):
                 trail.append(m)
 
 
+def _rf(n, d):
+    """A RatFunc from a numerator and denominator already in canonical form."""
+    x = object.__new__(RatFunc)
+    x._n = n
+    x._d = d
+    return x
+
+
+def _coprime_rf(n, d):
+    """A RatFunc from n / d, coprime in Q[alpha]: divide out the content, fix the sign."""
+    if not n:
+        return _R0
+    g = gcd(*n, *d)
+    if d[-1] < 0:
+        g = -g
+    if g != 1:
+        n = tuple([c // g for c in n])
+        d = tuple([c // g for c in d])
+    return _rf(n, d)
+
+
+def _reduced_rf(n, d):
+    """A RatFunc from any n / d with d nonzero."""
+    if len(n) > 1 and len(d) > 1:
+        g = _ip_gcd(n, d)
+        if len(g) > 1:
+            n, d = _ip_exquo(n, g), _ip_exquo(d, g)
+    return _coprime_rf(n, d)
+
+
+def _over_int(n, q):
+    """n / q for an int q > 0; only an int can cancel, as q is a unit of Q[alpha]."""
+    if not n:
+        return _R0
+    if q != 1:
+        g = gcd(q, *n)
+        if g != 1:
+            return _rf(tuple([c // g for c in n]), (q // g,))
+    return _rf(n, (q,))
+
+
+def _sum(n1, d1, n2, d2):
+    if len(d1) == 1 and len(d2) == 1:
+        q1, q2 = d1[0], d2[0]
+        return _over_int(_ip_add(_ip_scale(n1, q2), _ip_scale(n2, q1)), q1 * q2)
+    n = _ip_add(_ip_mul(n1, d2), _ip_mul(n2, d1))
+    d = _ip_mul(d1, d2)
+    if len(d1) > 1 and len(d2) > 1:
+        return _reduced_rf(n, d)
+    # gcd(n, d) = gcd(n1 * d2, d1) = 1 when d2 is constant, and likewise for d1
+    return _coprime_rf(n, d)
+
+
+def _product(n1, d1, n2, d2):
+    if not n1 or not n2:
+        return _R0
+    if len(d1) == 1 and len(d2) == 1:
+        return _over_int(_ip_mul(n1, n2), d1[0] * d2[0])
+    if len(n1) > 1 and len(d2) > 1:
+        g = _ip_gcd(n1, d2)
+        if len(g) > 1:
+            n1, d2 = _ip_exquo(n1, g), _ip_exquo(d2, g)
+    if len(n2) > 1 and len(d1) > 1:
+        g = _ip_gcd(n2, d1)
+        if len(g) > 1:
+            n2, d1 = _ip_exquo(n2, g), _ip_exquo(d1, g)
+    return _coprime_rf(_ip_mul(n1, n2), _ip_mul(d1, d2))
+
+
 class RatFunc:
-    """Element of Q(alpha): reduced num/den with ``den`` monic and nonzero."""
+    """Element of Q(alpha), kept as a canonical pair of integer polynomials.
 
-    __slots__ = ("num", "den")
+    ``RatFunc(num, den)`` takes ints, Fractions or ``Poly``; ``num`` and
+    ``den`` read the element back as ``Poly`` with ``den`` monic.
+    """
 
-    def __init__(self, num, den=POLY_ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if num is None or den is None:
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, num, den=1):
+        a = _int_form(num)
+        b = _int_form(den)
+        if a is None or b is None:
             raise TypeError("RatFunc expects polynomial or rational arguments")
-        if not den:
+        if not b[0]:
             raise ZeroDivisionError("zero denominator in Q(alpha)")
-        if den.coeffs == POLY_ONE.coeffs:
-            self.num, self.den = num, POLY_ONE
-            return
-        if not num:
-            self.num, self.den = POLY_ZERO, POLY_ONE
-            return
-        g = poly_gcd(num, den)
-        if g.degree >= 1:
-            num, den = num // g, den // g
-        lc = den.lc()
-        if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
-        self.num, self.den = num, den
+        x = _reduced_rf(_ip_scale(a[0], b[1]), _ip_scale(b[0], a[1]))
+        self._n, self._d = x._n, x._d
+
+    @property
+    def num(self) -> Poly:
+        lc = self._d[-1]
+        return Poly(tuple(Fraction(c, lc) for c in self._n))
+
+    @property
+    def den(self) -> Poly:
+        return _monic_poly(self._d)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __eq__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if type(other) is not RatFunc:
+            other = _as_ratfunc(other)
+            if other is None:
+                return NotImplemented
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        # A constant hashes like the equal Fraction (and int), as == says.
+        if len(self._d) == 1 and len(self._n) <= 1:
+            return hash(Fraction(self._n[0], self._d[0])) if self._n else 0
+        return hash((self._n, self._d))
 
     def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        if self.den is POLY_ONE and other.den is POLY_ONE:
-            return RatFunc(self.num + other.num)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        if type(other) is not RatFunc:
+            other = _as_ratfunc(other)
+            if other is None:
+                return NotImplemented
+        return _sum(self._n, self._d, other._n, other._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _rf(_ip_scale(self._n, -1), self._d)
 
     def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not RatFunc:
+            other = _as_ratfunc(other)
+            if other is None:
+                return NotImplemented
+        return _sum(self._n, self._d, _ip_scale(other._n, -1), other._d)
 
     def __rsub__(self, other):
         other = _as_ratfunc(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(other._n, other._d, _ip_scale(self._n, -1), self._d)
 
     def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        if self.den is POLY_ONE and other.den is POLY_ONE:
-            return RatFunc(self.num * other.num)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if type(other) is not RatFunc:
+            other = _as_ratfunc(other)
+            if other is None:
+                return NotImplemented
+        return _product(self._n, self._d, other._n, other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RatFunc":
-        if not self.num:
+        n, d = self._n, self._d
+        if not n:
             raise ZeroDivisionError("inverting zero in Q(alpha)")
-        _record_inversion(self.num)
-        return RatFunc(self.den, self.num)
+        if len(n) > 1 and _DENOM_TRAILS:
+            _record_inversion(self.num)
+        if n[-1] < 0:
+            return _rf(_ip_scale(d, -1), _ip_scale(n, -1))
+        return _rf(d, n)
 
     def __truediv__(self, other):
         other = _as_ratfunc(other)
@@ -365,38 +527,54 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        # the powers of a canonical pair are again coprime with content 1
+        return _rf(_ip_pow(self._n, n), _ip_pow(self._d, n))
 
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def as_fraction(self) -> Fraction:
-        if self.num.degree > 0 or self.den.degree > 0:
+        if not self.is_constant():
             raise ValueError(f"{self!r} is not a constant")
-        if not self.num:
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
     def evaluate(self, x: Fraction) -> Fraction:
-        d = self.den.evaluate(x)
-        if not d:
+        # p/q into both sides at once: n(p/q) / d(p/q) = hn / hd * q^(deg d - deg n)
+        # with hn, hd the homogenised values.
+        p, q = x.numerator, x.denominator
+        hn, hd = _homogenised(self._n, p, q), _homogenised(self._d, p, q)
+        if not hd:
             raise ZeroDivisionError(f"denominator vanishes at alpha = {x}")
-        return self.num.evaluate(x) / d
+        e = len(self._d) - len(self._n)
+        if e >= 0:
+            return Fraction(hn * q**e, hd)
+        return Fraction(hn, hd * q**-e)
 
     def __repr__(self):
         return f"RatFunc({format_ratfunc(self)!r})"
 
 
+def _homogenised(a, p, q):
+    """Sum of a[k] p^k q^(deg a - k)."""
+    acc, qk = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
 def _as_ratfunc(v):
     if isinstance(v, RatFunc):
         return v
-    if isinstance(v, (int, Fraction, Poly)):
-        return RatFunc(_as_poly(v) if not isinstance(v, Poly) else v)
+    if isinstance(v, (int, Fraction)):
+        return _rf((v.numerator,), (v.denominator,)) if v else _R0
+    if isinstance(v, Poly):
+        return RatFunc(v)
     return None
 
 
 def format_ratfunc(x: RatFunc) -> str:
-    if x.den == POLY_ONE:
+    if len(x._d) == 1:
         return format_poly(x.num)
     return f"({format_poly(x.num)})/({format_poly(x.den)})"
 
@@ -478,7 +656,7 @@ class _FunctionField(Field):
         if isinstance(value, RatFunc):
             return value
         if isinstance(value, (int, Fraction, Poly)):
-            return RatFunc(value if isinstance(value, Poly) else Poly((value,)))
+            return _as_ratfunc(value)
         if isinstance(value, str):
             return self.parse(value)
         raise TypeError(f"cannot interpret {value!r} as an element of Q(alpha)")
@@ -489,9 +667,9 @@ class _FunctionField(Field):
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_R0 = RatFunc(POLY_ZERO)
-_R1 = RatFunc(POLY_ONE)
-_RALPHA = RatFunc(POLY_ALPHA)
+_R0 = _rf((), (1,))
+_R1 = _rf((1,), (1,))
+_RALPHA = _rf((0, 1), (1,))
 
 QQ = _RationalField()
 QALPHA = _FunctionField()

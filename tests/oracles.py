@@ -12,7 +12,7 @@ from math import inf
 from operator import add, sub
 
 from omlie.admissible import _DEFAULT_CANDIDATES
-from omlie.fields import QQ, Poly, rational_roots
+from omlie.fields import QQ, Poly, _record_inversion, rational_roots
 from omlie.multipoly import GroebnerResult, MPoly
 
 
@@ -490,3 +490,176 @@ def residuals_reference(L, space):
                     if acc:
                         out.append(acc)
     return out
+
+
+# ------------------------------------------------------- Q(alpha) on Fractions
+# The field arithmetic the package used before integer polynomials, kept as
+# the reference: Poly with Fraction coefficients, Euclid's gcd, a quotient
+# reduced by it and scaled to a monic denominator.
+
+
+def poly_divmod_reference(p, q):
+    """Quotient and remainder of Poly division over Q."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    dq = len(rem) - len(q.coeffs)
+    if dq < 0:
+        return Poly(), Poly(rem)
+    quo = [Fraction(0)] * (dq + 1)
+    qlc = q.lc()
+    for top in range(len(rem) - 1, len(q.coeffs) - 2, -1):
+        c = rem[top]
+        if not c:
+            continue
+        f = c / qlc
+        quo[top - q.degree] = f
+        for k, oc in enumerate(q.coeffs):
+            rem[top - q.degree + k] -= f * oc
+    return Poly(quo), Poly(rem)
+
+
+def poly_gcd_reference(p, q):
+    """Monic gcd via the Euclidean algorithm; gcd(0, 0) = 0."""
+    a, b = p, q
+    while b:
+        a, b = b, poly_divmod_reference(a, b)[1]
+    return a.monic()
+
+
+_POLY_ONE = Poly((1,))
+
+
+def _ref_poly(v):
+    if isinstance(v, Poly):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return Poly((v,))
+    return None
+
+
+class RatFuncReference:
+    """Element of Q(alpha): reduced num/den with ``den`` monic and nonzero."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=_POLY_ONE):
+        num = _ref_poly(num)
+        den = _ref_poly(den)
+        if num is None or den is None:
+            raise TypeError("RatFunc expects polynomial or rational arguments")
+        if not den:
+            raise ZeroDivisionError("zero denominator in Q(alpha)")
+        if den.coeffs == _POLY_ONE.coeffs:
+            self.num, self.den = num, _POLY_ONE
+            return
+        if not num:
+            self.num, self.den = Poly(), _POLY_ONE
+            return
+        g = poly_gcd_reference(num, den)
+        if g.degree >= 1:
+            num = poly_divmod_reference(num, g)[0]
+            den = poly_divmod_reference(den, g)[0]
+        lc = den.lc()
+        if lc != 1:
+            inv = 1 / lc
+            num = num * inv
+            den = den * inv
+        self.num, self.den = num, den
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        other = _as_ratfunc_reference(other)
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num.coeffs, self.den.coeffs))
+
+    def __add__(self, other):
+        other = _as_ratfunc_reference(other)
+        if other is None:
+            return NotImplemented
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return RatFuncReference(self.num + other.num)
+        return RatFuncReference(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        out = RatFuncReference.__new__(RatFuncReference)
+        out.num, out.den = -self.num, self.den
+        return out
+
+    def __sub__(self, other):
+        other = _as_ratfunc_reference(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = _as_ratfunc_reference(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = _as_ratfunc_reference(other)
+        if other is None:
+            return NotImplemented
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return RatFuncReference(self.num * other.num)
+        return RatFuncReference(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self.num:
+            raise ZeroDivisionError("inverting zero in Q(alpha)")
+        _record_inversion(self.num)
+        return RatFuncReference(self.den, self.num)
+
+    def __truediv__(self, other):
+        other = _as_ratfunc_reference(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = _as_ratfunc_reference(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        return RatFuncReference(self.num**n, self.den**n)
+
+    def is_constant(self):
+        return self.num.degree <= 0 and self.den.degree <= 0
+
+    def as_fraction(self):
+        if self.num.degree > 0 or self.den.degree > 0:
+            raise ValueError(f"{self!r} is not a constant")
+        if not self.num:
+            return Fraction(0)
+        return self.num.coeffs[0] / self.den.coeffs[0]
+
+    def evaluate(self, x):
+        d = self.den.evaluate(x)
+        if not d:
+            raise ZeroDivisionError(f"denominator vanishes at alpha = {x}")
+        return self.num.evaluate(x) / d
+
+
+def _as_ratfunc_reference(v):
+    if isinstance(v, RatFuncReference):
+        return v
+    p = _ref_poly(v)
+    return None if p is None else RatFuncReference(p)

