@@ -28,6 +28,10 @@ from .errors import AxiomCheckError
 from .fields import Field, QQ, evaluate_at
 from .linalg import Matrix, invert, rref
 
+# The largest dimension accepted from a catalog parameter or an algebra file:
+# a structure tensor holds dim^3 scalars.
+MAX_DIM = 64
+
 
 class StructureTensor:
     """n^3 structure constants of a bilinear product or bracket."""
@@ -375,27 +379,20 @@ def left_mult(A: OmegaLsaAlgebra, i: int) -> Matrix:
 
 
 def check_module_identity(A: OmegaLsaAlgebra) -> CheckReport:
-    """Operator form of the defining identity, one residual matrix per pair i < j."""
-    n = A.dim
-    mats = [left_mult(A, i) for i in range(n)]
+    """Operator form of the defining identity, one residual matrix per pair i < j.
+
+    Applied to e_k, l_[u,v] - [l_u, l_v] - w(u,v) id is the left-symmetric
+    residual at (u, v, e_k), so column k of the residual for (i, j) is the
+    one :func:`check_omega_lsa` reports at (i, j, k).
+    """
+    n, zero = A.dim, A.field.zero
+    columns: dict = {}  # (i, j) -> {k: residual vector}, pairs in check order
+    for _law, (i, j, k), r in check_omega_lsa(A).failures:
+        columns.setdefault((i, j), {})[k] = r
     failures = []
-    ident = Matrix.identity(A.field, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = tuple(
-                A.product.coeffs[i][j][k] - A.product.coeffs[j][i][k] for k in range(n)
-            )
-            lhs = Matrix.zeros(A.field, n, n)
-            for m, v in enumerate(w):
-                if v:
-                    lhs = lhs + mats[m].scale(v)
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            residual = lhs - comm
-            wij = A.omega.entry(i, j)
-            if wij:
-                residual = residual - ident.scale(wij)
-            if not residual.is_zero():
-                failures.append(("module-identity", (i, j), residual))
+    for pair, cols in columns.items():
+        rows = [[cols[k][m] if k in cols else zero for k in range(n)] for m in range(n)]
+        failures.append(("module-identity", pair, Matrix(A.field, rows)))
     return CheckReport(failures)
 
 

@@ -9,7 +9,8 @@ used as positive controls for the admissibility decider.
 Every instantiation is validated by the matching axiom checker; a parameter
 combination that breaks the defining identities raises AxiomCheckError, and
 explicit side conditions (alpha not in {0, -1} for the C families, a != 0 for
-P1, b1, c1 != 0 and b1 + c1 + 1 = 0 for P2) and parameter names outside the
+P1, b1, c1 != 0 and b1 + c1 + 1 = 0 for P2, and for both P families an
+abelian part of dimension 2 to MAX_DIM - 3) and parameter names outside the
 family's slots raise SideConditionError.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import lie_from_tables, lsa_from_tables
+from .algebra import MAX_DIM, lie_from_tables, lsa_from_tables
 from .errors import SideConditionError
 from .exprs import parse_combination
 from .fields import Field, QQ, QALPHA, RatFunc
@@ -69,12 +70,16 @@ def _scalar_equals(v, const: int) -> bool:
     return False
 
 
-def _int_param(params, name, default):
-    v = params.get(name, default)
+def _abelian_dim(params, name, family):
+    """The dimension of the abelian part of P1 or P2: at least 2, and the
+    algebra's dimension (3 more) at most MAX_DIM."""
     try:
-        return int(v)
+        m = int(params.get(name, 2))
     except (TypeError, ValueError):
         raise SideConditionError(f"parameter {name!r} must be an integer") from None
+    if not 2 <= m <= MAX_DIM - 3:
+        raise SideConditionError(f"{family} requires 2 <= {name} <= {MAX_DIM - 3}")
+    return m
 
 
 def _vector(params, name, field, all_names, allowed, default):
@@ -239,9 +244,7 @@ def _build_ctilde_alpha(params, field):
 
 
 def _build_p1(params, field):
-    m = _int_param(params, "dim_h1", 2)
-    if m < 2:
-        raise SideConditionError("P1 requires dim_h1 >= 2")
+    m = _abelian_dim(params, "dim_h1", "P1")
     a = _scalar(params, "a", field, default=1)
     if _scalar_equals(a, 0):
         raise SideConditionError("P1 requires a != 0")
@@ -259,9 +262,7 @@ def _build_p1(params, field):
 
 
 def _build_p2(params, field):
-    m = _int_param(params, "dim_h", 2)
-    if m < 2:
-        raise SideConditionError("P2 requires dim_h >= 2")
+    m = _abelian_dim(params, "dim_h", "P2")
     b1 = _scalar(params, "b1", field, default=1, formal_ok=False)
     b2 = _scalar(params, "b2", field, default=0, formal_ok=False)
     c1 = _scalar(params, "c1", field, default=-2, formal_ok=False)
@@ -427,7 +428,3 @@ def instantiate(name: str, params: dict | None = None, field: Field = QQ):
             f"its parameters are: {', '.join(slots) or 'none'}"
         )
     return _BUILDERS[name](params, field)
-
-
-def perfect_lie_entries() -> list[CatalogEntry]:
-    return [e for e in _ENTRIES.values() if e.kind == "lie"]

@@ -3,7 +3,9 @@
 Scalars are either arbitrary-precision rationals (plain ``fractions.Fraction``)
 or elements of Q(alpha), the field of rational functions in one formal
 parameter over Q.  ``Poly`` is a dense univariate polynomial with Fraction
-coefficients, index = degree, trailing coefficient nonzero.
+coefficients, index = degree, trailing coefficient nonzero.  It carries no
+arithmetic: the package uses it only to print, to record denominator trails
+and to find ``rational_roots``.
 
 ``RatFunc`` holds an element as two tuples of ints, numerator and
 denominator coefficients from degree 0 up, in one canonical form: the two are
@@ -64,64 +66,6 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        if not self or not other:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def monic(self) -> "Poly":
         if not self or self.lc() == 1:
             return self
@@ -136,14 +80,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
-
-
-def _as_poly(v):
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Poly((v,))
-    return None
 
 
 # Integer polynomials: tuples of ints from degree 0 up, no trailing zero, and

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 
 from .algebra import (
+    MAX_DIM,
     OmegaForm,
     OmegaLieAlgebra,
     OmegaLsaAlgebra,
@@ -91,6 +92,8 @@ def parse_algebra_text(text: str, check: bool = True):
         dim = int(header["dim"])
     except ValueError:
         raise AlgebraLoadError(f"dim must be an integer, got {header['dim']!r}") from None
+    if dim > MAX_DIM:
+        raise AlgebraLoadError(f"dim = {dim} exceeds the largest supported dimension {MAX_DIM}")
     names = tuple(nm.strip() for nm in header["basis"].split(",") if nm.strip())
     if len(names) != dim:
         raise AlgebraLoadError(

@@ -10,11 +10,13 @@ first remaining row (exact arithmetic needs no magnitude pivoting).  It keeps
 an index from each column to the rows holding it, so a pivot touches only the
 rows it reduces; with ``keep_from`` it never back-substitutes into the rows
 whose pivot lies before that column, and returns those forward-reduced
-only.  The dense :class:`Matrix` serves the n x n operators; ``rref`` and ``invert`` are its
-views of the same routine.  Affine spaces are kept in a canonical form (basis
-rows in RREF, origin reduced against them) so that equal solution sets compare
-equal syntactically; the propagation loop in the admissibility decider relies
-on that for fixed-point detection.
+only.  The dense :class:`Matrix` holds the n x n operators: it compares,
+applies itself to a vector and recognises a multiple of the identity, with no
+matrix arithmetic; ``rref`` and ``invert`` (behind ``algebra.basis_change``)
+are its views of the same routine.  Affine spaces are kept in a canonical
+form (basis rows in RREF, origin reduced against them) so that equal solution
+sets compare equal syntactically; the propagation loop in the admissibility
+decider relies on that for fixed-point detection.
 """
 
 from __future__ import annotations
@@ -46,16 +48,6 @@ class Matrix:
                 raise ValueError("empty matrix needs an explicit column count")
             self.ncols = ncols
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)], ncols=ncols)
-
     def column(self, c: int) -> tuple:
         return tuple(row[c] for row in self.rows)
 
@@ -67,41 +59,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.rows))
 
-    def __add__(self, other):
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
-
-    def __sub__(self, other):
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
-
-    def scale(self, s) -> "Matrix":
-        s = self.field.coerce(s)
-        return Matrix(self.field, [[a * s for a in row] for row in self.rows], ncols=self.ncols)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        zero = self.field.zero
-        out = []
-        for row in self.rows:
-            acc = [zero] * other.ncols
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                orow = other.rows[k]
-                for j, b in enumerate(orow):
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Matrix(self.field, out, ncols=other.ncols)
-
     def apply(self, vec) -> tuple:
         zero = self.field.zero
         out = []
@@ -112,9 +69,6 @@ class Matrix:
                     acc = acc + a * v
             out.append(acc)
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.rows for v in row)
 
     def scalar_identity_multiple(self):
         """Return s when the matrix equals s * identity, else None."""
@@ -336,19 +290,6 @@ class AffineSpace:
             raise ValueError("infeasible space has no points")
         delta = _combine(enumerate(params), self.basis)
         return tuple(o + delta[j] if j in delta else o for j, o in enumerate(self.origin))
-
-    def contains(self, point) -> bool:
-        return self.feasible and AffineSpace.make(self.field, point, self.basis) == self
-
-    def sample(self, rng) -> tuple:
-        """Deterministic random point: origin plus a small rational combination."""
-        from fractions import Fraction
-
-        params = [
-            self.field.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            for _ in self.basis
-        ]
-        return self.at(params)
 
     def restrict(self, rows) -> "AffineSpace":
         """Intersect with constraints in this space's parameters: sparse rows

@@ -1,14 +1,15 @@
 """Sparse multivariate polynomials over an exact field and a degree-capped
 Buchberger algorithm with detection of 1 in the ideal.
 
-``MPoly`` keeps its terms as {exponent tuple: coefficient}.  Division and
-Buchberger, and the decider's residuals and harvest in ``admissible``, work
-on packed monomials instead (``Packing``; Monagan & Pearce 2007,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors"): a monomial is one int, holding exponent i in a field of ``w`` bits
-at bit ``w*i`` and the total degree, negated, above all of them.  ``w`` leaves
-one guard bit above the largest degree the call can meet, so no field
-overflows and then
+``MPoly`` keeps its terms as {exponent tuple: coefficient}.  It has no
+arithmetic: it is only the exchange format into and out of ``normal_form``,
+``interreduce`` and ``buchberger``.  Division and Buchberger, and the
+decider's residuals and harvest in ``admissible``, work on packed monomials
+(``Packing``; Monagan & Pearce 2007, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors"): a monomial is one int, holding
+exponent i in a field of ``w`` bits at bit ``w*i`` and the total degree,
+negated, above all of them.  ``w`` leaves one guard bit above the largest
+degree the call can meet, so no field overflows and then
 - multiplying monomials is adding ints;
 - u divides v iff ``(v - u) & guard == 0``: a field of v below u's borrows
   into its own guard bit;
@@ -34,7 +35,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .fields import QQ, Field
 
@@ -61,12 +61,6 @@ class MPoly:
                 clean[tuple(m)] = c
         self.terms = clean
 
-    def _like(self, terms) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.field, out.nvars = self.field, self.nvars
-        out.terms = terms
-        return out
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -81,65 +75,8 @@ class MPoly:
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=-1)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[m] = acc
-            else:
-                del out[m]
-        return self._like(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            acc = -c if acc is None else acc - c
-            if acc:
-                out[m] = acc
-            else:
-                del out[m]
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, MPoly):
-            return self.scale(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                c = c1 * c2
-                acc = out.get(m)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-        return self._like(out)
-
-    def scale(self, c) -> "MPoly":
-        c = self.field.coerce(c)
-        if not c:
-            return self._like({})
-        return self._like({m: v * c for m, v in self.terms.items()})
-
     def lead_monomial(self):
         return min(self.terms, key=_degrevlex_desc_key)
-
-    def lead_coeff(self):
-        return self.terms[self.lead_monomial()]
-
-    def monic(self) -> "MPoly":
-        lc = self.lead_coeff()
-        if lc == self.field.one:
-            return self
-        inv = self.field.one / lc
-        return self._like({m: c * inv for m, c in self.terms.items()})
 
     def format(self, names=None) -> str:
         if not self.terms:
@@ -309,7 +246,7 @@ def normal_form(f: MPoly, basis) -> MPoly:
     """
     basis = [g for g in basis if g]
     if not f:
-        return f._like({})
+        return MPoly(f.field, f.nvars)
     packing = Packing(f.nvars, max(p.degree() for p in (f, *basis)))
     field = f.field
     divisors = []
@@ -325,8 +262,8 @@ def normal_form(f: MPoly, basis) -> MPoly:
     unpack = packing.unpack
     if field is QQ:
         den *= scale
-        return f._like({unpack(m): Fraction(c, den) for m, c in rem.items()})
-    return f._like({unpack(m): c for m, c in rem.items()})
+        return MPoly(field, f.nvars, {unpack(m): Fraction(c, den) for m, c in rem.items()})
+    return MPoly(field, f.nvars, {unpack(m): c for m, c in rem.items()})
 
 
 def interreduce(polys) -> list[MPoly]:

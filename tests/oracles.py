@@ -7,12 +7,14 @@ double-check the unordered-triple reductions inside the package.
 
 import heapq
 from fractions import Fraction
+from itertools import combinations, zip_longest
 from itertools import product as iproduct
 from math import inf
 from operator import add, sub
 
 from omlie.admissible import _DEFAULT_CANDIDATES
 from omlie.fields import QQ, Poly, _record_inversion, rational_roots
+from omlie.linalg import Matrix
 from omlie.multipoly import GroebnerResult, MPoly
 
 
@@ -81,9 +83,40 @@ def lsa_residuals_bruteforce(A):
     return bad
 
 
-def random_fraction(rng, den_max=6, num_max=9):
-    from fractions import Fraction
+def scalar_matrix(field, n, s):
+    """s times the n x n identity."""
+    s = field.coerce(s)
+    return Matrix(field, [[s if r == c else field.zero for c in range(n)] for r in range(n)])
 
+
+def _matmul(a, b, zero):
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def module_identity_reference(A):
+    """The operator identity l_[ei,ej] - [l_i, l_j] - w(i,j) id by matrix
+    arithmetic on plain lists, as ((i, j), residual rows) for each pair i < j
+    where it is nonzero."""
+    n, zero, c = A.dim, A.field.zero, A.product.coeffs
+    ops = [[[c[i][j][k] for j in range(n)] for k in range(n)] for i in range(n)]
+    out = []
+    for i, j in combinations(range(n), 2):
+        ij, ji = _matmul(ops[i], ops[j], zero), _matmul(ops[j], ops[i], zero)
+        w = A.omega.entry(i, j)
+        res = tuple(
+            tuple(
+                sum(((c[i][j][m] - c[j][i][m]) * ops[m][r][s] for m in range(n)), zero)
+                - ij[r][s] + ji[r][s] - (w if r == s else zero)
+                for s in range(n)
+            )
+            for r in range(n)
+        )
+        if any(map(any, res)):
+            out.append(((i, j), res))
+    return out
+
+
+def random_fraction(rng, den_max=6, num_max=9):
     return Fraction(rng.randint(-num_max, num_max), rng.randint(1, den_max))
 
 
@@ -103,14 +136,25 @@ def const(field, nvars, value):
     return MPoly(field, nvars, {(0,) * nvars: value})
 
 
-def variable(field, nvars, index):
-    m = [0] * nvars
-    m[index] = 1
-    return MPoly(field, nvars, {tuple(m): field.one})
+def mp_add(p, q, c=1):
+    """p + c*q."""
+    out = dict(p.terms)
+    for m, v in q.terms.items():
+        out[m] = out[m] + c * v if m in out else c * v
+    return MPoly(p.field, p.nvars, out)
+
+
+def monic(p):
+    lc = p.terms[p.lead_monomial()]
+    if lc == p.field.one:
+        return p
+    inv = p.field.one / lc
+    return MPoly(p.field, p.nvars, {m: c * inv for m, c in p.terms.items()})
 
 
 def times_term(p, coeff, mono):
-    return p._like({tuple(map(add, m, mono)): c * coeff for m, c in p.terms.items()})
+    terms = {tuple(map(add, m, mono)): c * coeff for m, c in p.terms.items()}
+    return MPoly(p.field, p.nvars, terms)
 
 
 def shift_by_var(p, index):
@@ -120,7 +164,7 @@ def shift_by_var(p, index):
         mm = list(m)
         mm[index] += 1
         out[tuple(mm)] = c
-    return p._like(out)
+    return MPoly(p.field, p.nvars, out)
 
 
 def constant_term(p):
@@ -153,7 +197,7 @@ def substitute(p, assignment):
             out[key] = acc
         else:
             del out[key]
-    return p._like(out)
+    return MPoly(p.field, p.nvars, out)
 
 
 def evaluate(p, values):
@@ -190,7 +234,7 @@ def s_polynomial(f, g):
     one = f.field.one
     tf = times_term(f, one / f.terms[lf], _mono_div(lcm, lf))
     tg = times_term(g, one / g.terms[lg], _mono_div(lcm, lg))
-    return tf - tg
+    return mp_add(tf, tg, -1)
 
 
 # ------------------------------------------------- Buchberger on exponent tuples
@@ -237,12 +281,12 @@ def _reduce_reference(f, divisors):
                 break
         else:
             rem[m] = c
-    return f._like(rem)
+    return MPoly(f.field, f.nvars, rem)
 
 
 def interreduce_reference(polys):
     """Auto-reduce to a set with monic leads where no lead divides another term."""
-    polys = [p.monic() for p in polys if p]
+    polys = [monic(p) for p in polys if p]
     changed = True
     while changed:
         changed = False
@@ -251,7 +295,7 @@ def interreduce_reference(polys):
             others = out + polys[i + 1 :]
             r = _reduce_reference(p, [_divisor(g) for g in others if g]) if others else p
             if r:
-                r = r.monic()
+                r = monic(r)
                 if r != p:
                     changed = True
                 out.append(r)
@@ -294,7 +338,7 @@ def buchberger_reference(gens, degree_cap=6):
             continue
         if h.degree() > degree_cap:
             return GroebnerResult(None, True, spairs, maxdeg)
-        h = h.monic()
+        h = monic(h)
         maxdeg = max(maxdeg, h.degree())
         G.append(h)
         divisors.append(_divisor(h))
@@ -318,12 +362,12 @@ def normal_form_reference(f, basis):
             gm = max(g.terms, key=_degrevlex_key)
             if all(x <= y for x, y in zip(gm, lm)):
                 shift = tuple(x - y for x, y in zip(lm, gm))
-                work = work - times_term(g, lc / g.terms[gm], shift)
+                work = mp_add(work, times_term(g, lc / g.terms[gm], shift), -1)
                 break
         else:
             rem[lm] = lc
-            work = work._like({m: c for m, c in work.terms.items() if m != lm})
-    return f._like(rem)
+            work = MPoly(f.field, f.nvars, {m: c for m, c in work.terms.items() if m != lm})
+    return MPoly(f.field, f.nvars, rem)
 
 
 def eliminate_reference(field, rows):
@@ -446,18 +490,14 @@ def _symbolic_operators(L, space):
 
 def _mpoly_matmul(a, b, field, d):
     n = len(a)
-    acc0 = zero(field, d)
     out = []
     for r in range(n):
-        arow = a[r]
         row = []
         for c in range(n):
-            acc = acc0
+            acc = zero(field, d)
             for k in range(n):
-                x = arow[k]
-                y = b[k][c]
-                if x and y:
-                    acc = acc + x * y
+                for m, v in b[k][c].terms.items():
+                    acc = mp_add(acc, times_term(a[r][k], v, m))
             row.append(acc)
         out.append(row)
     return out
@@ -480,13 +520,12 @@ def residuals_reference(L, space):
             wij = L.omega.entry(i, j)
             for r in range(n):
                 for c in range(n):
-                    p = comm[r][c] - rev[r][c]
-                    acc = -p
+                    acc = mp_add(rev[r][c], comm[r][c], -1)
                     for m, v in enumerate(br):
                         if v:
-                            acc = acc + mats[m][r][c].scale(v)
+                            acc = mp_add(acc, mats[m][r][c], v)
                     if r == c and wij:
-                        acc = acc - const(field, d, wij)
+                        acc = mp_add(acc, const(field, d, wij), -1)
                     if acc:
                         out.append(acc)
     return out
@@ -496,6 +535,19 @@ def residuals_reference(L, space):
 # The field arithmetic the package used before integer polynomials, kept as
 # the reference: Poly with Fraction coefficients, Euclid's gcd, a quotient
 # reduced by it and scaled to a monic denominator.
+
+
+def poly_add(p, q, c=1):
+    """p + c*q."""
+    return Poly([x + c * y for x, y in zip_longest(p.coeffs, q.coeffs, fillvalue=0)])
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
 
 
 def poly_divmod_reference(p, q):
@@ -562,9 +614,8 @@ class RatFuncReference:
             den = poly_divmod_reference(den, g)[0]
         lc = den.lc()
         if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
+            num = Poly([c / lc for c in num.coeffs])
+            den = Poly([c / lc for c in den.coeffs])
         self.num, self.den = num, den
 
     def __bool__(self):
@@ -584,16 +635,17 @@ class RatFuncReference:
         if other is None:
             return NotImplemented
         if self.den is _POLY_ONE and other.den is _POLY_ONE:
-            return RatFuncReference(self.num + other.num)
+            return RatFuncReference(poly_add(self.num, other.num))
         return RatFuncReference(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
+            poly_mul(self.den, other.den),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
         out = RatFuncReference.__new__(RatFuncReference)
-        out.num, out.den = -self.num, self.den
+        out.num, out.den = poly_add(Poly(), self.num, -1), self.den
         return out
 
     def __sub__(self, other):
@@ -613,8 +665,8 @@ class RatFuncReference:
         if other is None:
             return NotImplemented
         if self.den is _POLY_ONE and other.den is _POLY_ONE:
-            return RatFuncReference(self.num * other.num)
-        return RatFuncReference(self.num * other.num, self.den * other.den)
+            return RatFuncReference(poly_mul(self.num, other.num))
+        return RatFuncReference(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -639,7 +691,10 @@ class RatFuncReference:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFuncReference(self.num**n, self.den**n)
+        num = den = _POLY_ONE
+        for _ in range(n):
+            num, den = poly_mul(num, self.num), poly_mul(den, self.den)
+        return RatFuncReference(num, den)
 
     def is_constant(self):
         return self.num.degree <= 0 and self.den.degree <= 0

@@ -33,7 +33,7 @@ from omlie.catalog import ALTERNATE_PARAMS, instantiate
 from omlie.cli import theorem_targets
 from omlie.errors import AxiomCheckError
 from omlie.fields import QALPHA, QQ
-from omlie.linalg import Matrix, intersect, solve_affine
+from omlie.linalg import AffineSpace, Matrix, intersect, solve_affine
 from omlie.multipoly import MPoly, Packing, _degrevlex_desc_key
 
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     harvest_reference,
     random_fraction,
     residuals_reference,
+    scalar_matrix,
 )
 
 
@@ -112,7 +113,7 @@ class TestJacobiConsequences:
     def test_c_alpha_forces_lx_scalar(self):
         L = instantiate("C_alpha", {}, QALPHA)
         space = solve_affine(L.field, jacobi_consequence_constraints(L), 27)
-        expected = Matrix.identity(QALPHA, 3).scale(QALPHA.one + QALPHA.alpha)
+        expected = scalar_matrix(QALPHA, 3, QALPHA.one + QALPHA.alpha)
         assert operator_matrices(L, space.origin)[0] == expected
         assert all(c >= 9 for vec in space.basis for c in vec)
 
@@ -128,8 +129,6 @@ class TestJacobiConsequences:
 
 class TestModuleResiduals:
     def test_residuals_vanish_at_left_mult_point(self):
-        from omlie.linalg import AffineSpace
-
         A = instantiate("LSA3-2", {}, QQ)
         L = commutator_algebra(A)
         point = left_mult_point(A)
@@ -156,54 +155,26 @@ class TestPropagateFixedPoints:
 
     def test_a_alpha(self):
         L = a_alpha()
-        one = QALPHA.one
-        zero3 = Matrix.zeros(QALPHA, 3, 3)
-        self.expect_point(
-            L,
-            {
-                "x": zero3,
-                "y": zero3,
-                "z": Matrix.identity(QALPHA, 3).scale(-one),
-            },
-        )
+        zero3 = scalar_matrix(QALPHA, 3, 0)
+        self.expect_point(L, {"x": zero3, "y": zero3, "z": scalar_matrix(QALPHA, 3, -1)})
 
     def test_c_alpha(self):
         L = instantiate("C_alpha", {}, QALPHA)
-        zero3 = Matrix.zeros(QALPHA, 3, 3)
+        zero3 = scalar_matrix(QALPHA, 3, 0)
         self.expect_point(
-            L,
-            {
-                "x": Matrix.identity(QALPHA, 3).scale(QALPHA.one + QALPHA.alpha),
-                "y": zero3,
-                "z": zero3,
-            },
+            L, {"x": scalar_matrix(QALPHA, 3, QALPHA.one + QALPHA.alpha), "y": zero3, "z": zero3}
         )
 
     def test_btilde(self):
         L = instantiate("Btilde", {}, QQ)
-        zero4 = Matrix.zeros(QQ, 4, 4)
-        self.expect_point(
-            L,
-            {
-                "x": Matrix.identity(QQ, 4).scale(2),
-                "y": zero4,
-                "z": zero4,
-                "e": zero4,
-            },
-        )
+        zero4 = scalar_matrix(QQ, 4, 0)
+        self.expect_point(L, {"x": scalar_matrix(QQ, 4, 2), "y": zero4, "z": zero4, "e": zero4})
 
     def test_p2_default(self):
         L = instantiate("P2", {}, QQ)
-        zero5 = Matrix.zeros(QQ, 5, 5)
+        zero5 = scalar_matrix(QQ, 5, 0)
         self.expect_point(
-            L,
-            {
-                "f1": zero5,
-                "f2": zero5,
-                "x": zero5,
-                "y": zero5,
-                "a": Matrix.identity(QQ, 5),
-            },
+            L, {"f1": zero5, "f2": zero5, "x": zero5, "y": zero5, "a": scalar_matrix(QQ, 5, 1)}
         )
 
 
@@ -350,10 +321,10 @@ class TestCertificateProperties:
             if not full.space.feasible:
                 continue
             assert module.space.feasible
-            assert module.space.contains(full.space.origin)
-            for vec in full.space.basis:
-                point = tuple(o + vec.get(j, 0) for j, o in enumerate(full.space.origin))
-                assert module.space.contains(point)
+            # the full space's origin and directions lie in the module-only space
+            assert AffineSpace.make(QQ, full.space.origin, module.space.basis) == module.space
+            ext = AffineSpace.make(QQ, module.space.origin, module.space.basis + full.space.basis)
+            assert ext == module.space
 
     def test_generic_verdict_matches_samples(self):
         from omlie.algebra import specialize
@@ -386,11 +357,11 @@ class TestTheoremOnRandomLsaParameters:
 def _permuted_shear(field, n, rng):
     """A seeded permutation matrix times one shear e_j += c * e_i."""
     perm = rng.sample(range(n), n)
-    P = Matrix(field, [[int(perm[c] == r) for c in range(n)] for r in range(n)])
     i, j = rng.sample(range(n), 2)
     c = random_fraction(rng) or Fraction(1)
-    S = Matrix(field, [[c if (r, k) == (i, j) else int(r == k) for k in range(n)] for r in range(n)])
-    return P @ S
+    shear = [[c if (r, k) == (i, j) else int(r == k) for k in range(n)] for r in range(n)]
+    # the permutation matrix, 1 at (perm[k], k), moves row k of the shear to row perm[k]
+    return Matrix(field, [shear[perm.index(r)] for r in range(n)])
 
 
 def test_verdicts_survive_basis_change():
@@ -598,14 +569,17 @@ def test_branch_candidates_match_mpoly_reference(monkeypatch):
     # Hand-made systems in 3 parameters: two univariate residuals after a
     # bivariate one (the first is taken); one without rational roots; none;
     # roots of equal absolute value; Q(alpha).
-    x = [MPoly(QQ, 3, {tuple(int(i == t) for i in range(3)): 1}) for t in range(3)]
-    one = MPoly(QQ, 3, {(0, 0, 0): 1})
-    for polys in (
-        [x[0] * x[1] + one, x[2] * x[2] - x[2] - one.scale(2), x[0] * x[0] - one],
-        [x[0] * x[2], x[1] * x[1] - one.scale(2)],
-        [x[0] * x[1] - x[2]],
-        [x[0] * x[0] - one],
+    for terms in (
+        [
+            {(1, 1, 0): 1, (0, 0, 0): 1},
+            {(0, 0, 2): 1, (0, 0, 1): -1, (0, 0, 0): -2},
+            {(2, 0, 0): 1, (0, 0, 0): -1},
+        ],
+        [{(1, 0, 1): 1}, {(0, 2, 0): 1, (0, 0, 0): -2}],
+        [{(1, 1, 0): 1, (0, 0, 1): -1}],
+        [{(2, 0, 0): 1, (0, 0, 0): -1}],
     ):
+        polys = [MPoly(QQ, 3, t) for t in terms]
         nodes.append((choose([_keyed(p) for p in polys], 3, QQ), polys, QQ))
     polys = [MPoly(QALPHA, 3, {(0, 2, 0): QALPHA.one, (0, 0, 0): -QALPHA.one})]
     nodes.append((choose([_keyed(p) for p in polys], 3, QALPHA), polys, QALPHA))

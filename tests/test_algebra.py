@@ -26,6 +26,7 @@ from omlie.fields import QALPHA, QQ
 from omlie.linalg import Matrix, rref
 
 from oracles import lie_residuals_bruteforce, lsa_residuals_bruteforce, random_fraction
+from oracles import module_identity_reference, scalar_matrix
 
 
 def a_alpha(field, alpha=None):
@@ -150,12 +151,12 @@ class TestCommutator:
 class TestLeftMult:
     def test_family2_left_mults(self):
         A = instantiate("LSA3-2", {"a1": "1/2", "a2": "3", "a3": "-2"}, QQ)
-        assert left_mult(A, 0) == Matrix.identity(QQ, 3).scale(2)
+        assert left_mult(A, 0) == scalar_matrix(QQ, 3, 2)
         assert left_mult(A, 1) == left_mult(A, 2)
 
     def test_zero_product(self):
         A = lsa_from_tables(QQ, ("u", "v"), {}, {})
-        assert left_mult(A, 0).is_zero() and left_mult(A, 1).is_zero()
+        assert left_mult(A, 0) == left_mult(A, 1) == scalar_matrix(QQ, 2, 0)
 
     def test_index_out_of_range(self):
         A = lsa_from_tables(QQ, ("u", "v"), {}, {})
@@ -177,11 +178,19 @@ class TestModuleIdentity:
         A = lsa_from_tables(QQ, ("u", "v"), {}, {})
         assert check_module_identity(A).ok
 
+    def test_residual_in_one_column(self):
+        # u*v = u: the identity fails at (u, v, v) only, so the residual for
+        # the pair (u, v) is zero but for its column v, which holds u
+        A = lsa_from_tables(QQ, ("u", "v"), {("u", "v"): {"u": 1}}, {}, check=False)
+        want = [("module-identity", (0, 1), Matrix(QQ, [[0, 1], [0, 0]]))]
+        assert list(check_module_identity(A).failures) == want
+        assert module_identity_reference(A) == [((0, 1), want[0][2].rows)]
+
     def test_equivalence_with_lsa_identity_on_random_tensors(self):
         # the operator identity IS the defining identity, for any tensor at all
         rng = random.Random(53)
         for _ in range(30):
-            n = rng.randint(2, 3)
+            n = rng.randint(2, 4)
             coeffs = [
                 [[random_fraction(rng, 3, 2) for _ in range(n)] for _ in range(n)]
                 for _ in range(n)
@@ -197,7 +206,9 @@ class TestModuleIdentity:
                 StructureTensor(QQ, coeffs),
                 OmegaForm.from_pairs(QQ, n, pairs),
             )
-            assert check_omega_lsa(A).ok == check_module_identity(A).ok
+            rep = check_module_identity(A)
+            assert [(key, res.rows) for _, key, res in rep.failures] == module_identity_reference(A)
+            assert check_omega_lsa(A).ok == rep.ok
             assert check_omega_lsa(A).ok == (lsa_residuals_bruteforce(A) == [])
 
 
@@ -222,7 +233,7 @@ class TestDerivedAndPerfect:
 class TestBasisChange:
     def test_identity_change_is_identity(self):
         L = a_alpha(QQ, 2)
-        assert basis_change(L, Matrix.identity(QQ, 3)) == L
+        assert basis_change(L, scalar_matrix(QQ, 3, 1)) == L
 
     def test_g1_alpha_shift_matches_known_table(self):
         # replacing e by e + alpha*y turns the table into

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from omlie.algebra import commutator_algebra
+from omlie.algebra import MAX_DIM, commutator_algebra
 from omlie.catalog import instantiate
 from omlie.cli import run_command, theorem_targets
 from omlie.fields import QQ
@@ -88,6 +89,21 @@ class TestCatalogCommands:
         code, out, err = run(capsys, "catalog", "emit", "--family", family, "--param", param)
         assert code == 2 and out == ""
         assert repr(param.split("=")[0]) in err and named in err
+
+    @pytest.mark.parametrize("family,param", [("P1", "dim_h1"), ("P2", "dim_h")])
+    def test_emit_past_the_dimension_ceiling_exit_2(self, capsys, family, param):
+        # rejected before any table is built: a dim^3 tensor would not fit
+        started = time.perf_counter()
+        argv = ["catalog", "emit", "--family", family, "--param", f"{param}={10**8}"]
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == "" and f"{param} <= {MAX_DIM - 3}" in err
+
+    def test_file_past_the_dimension_ceiling_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "big.alg"
+        path.write_text(f"kind = lie\nfield = Q\ndim = {10**8}\nbasis = e\n")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2 and f"largest supported dimension {MAX_DIM}" in err
 
 
 class TestCheckCommand:

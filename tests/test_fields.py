@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import poly_divmod_reference
+from oracles import poly_add, poly_divmod_reference, poly_mul
 
 from omlie.fields import (
     Poly,
@@ -184,7 +184,7 @@ def test_poly_division_property():
         while not d:
             d = P(*[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))])
         q, r = poly_divmod_reference(p, d)
-        assert q * d + r == p
+        assert poly_add(poly_mul(q, d), r) == p
         assert r.degree < d.degree or not r
 
 

@@ -32,11 +32,12 @@ from oracles import (
     const,
     constant_term,
     evaluate,
+    monic,
+    mp_add,
     normal_form_reference,
     random_fraction,
     s_polynomial,
     substitute,
-    variable,
     zero,
 )
 
@@ -45,18 +46,7 @@ def mp(nvars, terms, field=QQ):
     return MPoly(field, nvars, terms)
 
 
-def var(i, nvars, field=QQ):
-    return variable(field, nvars, i)
-
-
 class TestArithmetic:
-    def test_product_expansion(self):
-        p0, p1 = var(0, 2), var(1, 2)
-        one = const(QQ, 2, 1)
-        sq = (p0 + p1) * (p0 + p1)
-        assert sq == mp(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-        assert (p0 + one) * (p0 - one) == mp(2, {(2, 0): 1, (0, 0): -1})
-
     def test_evaluate_and_substitute(self):
         p = mp(2, {(2, 0): 1, (0, 1): -3, (0, 0): 2})
         assert evaluate(p, [Fraction(2), Fraction(1)]) == 4 - 3 + 2
@@ -75,13 +65,11 @@ class TestNormalForm:
         assert not normal_form(p, [p])
 
     def test_reduce_power_by_variable(self):
-        p0 = var(0, 1)
-        assert not normal_form(p0 * p0, [p0])
+        assert not normal_form(mp(1, {(2,): 1}), [mp(1, {(1,): 1})])
 
     def test_remainder_constant(self):
-        p0, p1 = var(0, 2), var(1, 2)
-        f = p0 * p1 + const(QQ, 2, 1)
-        assert normal_form(f, [p0]) == const(QQ, 2, 1)
+        f = mp(2, {(1, 1): 1, (0, 0): 1})
+        assert normal_form(f, [mp(2, {(1, 0): 1})]) == const(QQ, 2, 1)
 
     def test_idempotent_random(self):
         rng = random.Random(3)
@@ -125,7 +113,7 @@ class TestNormalForm:
             basis = [rand_poly(nv, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 4))]
             g = basis[0]
             if g:  # a divisor with the same lead, listed after the first
-                basis.append(g.scale(2) + const(field, nv, coeff()))
+                basis.append(mp_add(const(field, nv, coeff()), g, 2))
             basis.insert(rng.randint(0, len(basis)), zero(field, nv))
             with track_denominators() as want_trail:
                 want = normal_form_reference(f, basis)
@@ -149,28 +137,26 @@ def _staircase_count(basis, bound=8):
 
 class TestBuchberger:
     def test_inconsistent_linear_system(self):
-        one = const(QQ, 1, 1)
-        res = buchberger([var(0, 1) - one, var(0, 1) - one - one])
+        res = buchberger([mp(1, {(1,): 1, (0,): -1}), mp(1, {(1,): 1, (0,): -2})])
         assert contains_one(res) is True
         assert len(res.basis) == 1 and res.basis[0].degree() == 0
 
     def test_single_irreducible_quadratic(self):
-        p = var(0, 1) * var(0, 1) + const(QQ, 1, 1)
+        p = mp(1, {(2,): 1, (0,): 1})
         res = buchberger([p])
         assert contains_one(res) is False
         assert res.basis == (p,)
 
     def test_two_quadrics_with_four_solutions_over_closure(self):
         # p0^2 = p1, p1^2 = p0; substitution gives p0^4 = p0 with 4 roots
-        p0, p1 = var(0, 2), var(1, 2)
-        f = p0 * p0 - p1
-        g = p1 * p1 - p0
+        f = mp(2, {(2, 0): 1, (0, 1): -1})
+        g = mp(2, {(0, 2): 1, (1, 0): -1})
         res = buchberger([f, g])
         assert contains_one(res) is False
         # quotient dimension equals the solution count over the closure
         assert _staircase_count(res.basis) == 4
         # p0^4 - p0 lies in the ideal
-        quartic = p0 * p0 * p0 * p0 - p0
+        quartic = mp(2, {(4, 0): 1, (1, 0): -1})
         assert not normal_form(quartic, list(res.basis))
         # the two known rational solutions vanish on the basis
         for point in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))):
@@ -182,26 +168,27 @@ class TestBuchberger:
         _assert_buchberger_criterion(res.basis)
 
     def test_cap_exceeded(self):
-        p0, p1 = var(0, 2), var(1, 2)
-        res = buchberger([p0 * p0 - p1, p1 * p1 - p0], degree_cap=1)
+        res = buchberger([mp(2, {(2, 0): 1, (0, 1): -1}), mp(2, {(0, 2): 1, (1, 0): -1})], 1)
         assert res.cap_exceeded
         assert contains_one(res) is None
 
     def test_coprime_leads_do_not_trip_the_cap(self):
         # Each input is already a Groebner basis: its only pair has coprime
         # leads, so no S-polynomial needs reducing and the cap is not reached.
-        p0, p1 = var(0, 2), var(1, 2)
-        one = const(QQ, 2, 1)
-        quartics = [p0 * p0 * p0 * p0, p1 * p1 * p1 * p1]
-        for gens, cap in ((quartics, 6), ([p0, p1 - one], 1)):
+        quartics = [mp(2, {(4, 0): 1}), mp(2, {(0, 4): 1})]
+        linear = [mp(2, {(1, 0): 1}), mp(2, {(0, 1): 1, (0, 0): -1})]
+        for gens, cap in ((quartics, 6), (linear, 1)):
             res = buchberger(gens, degree_cap=cap)
             assert not res.cap_exceeded
             assert res.spairs_processed == 0
             assert set(res.basis) == set(gens)
 
     def test_determinism_and_canonical_basis(self):
-        p0, p1, p2 = (var(i, 3) for i in range(3))
-        gens = [p0 * p1 - p2, p1 * p2 - p0, p2 * p0 - p1]
+        gens = [
+            mp(3, {(1, 1, 0): 1, (0, 0, 1): -1}),
+            mp(3, {(0, 1, 1): 1, (1, 0, 0): -1}),
+            mp(3, {(1, 0, 1): 1, (0, 1, 0): -1}),
+        ]
         r1 = buchberger(gens)
         r2 = buchberger(gens)
         assert r1.basis == r2.basis
@@ -211,12 +198,10 @@ class TestBuchberger:
 
     def test_rational_function_coefficients(self):
         a = QALPHA.alpha
-        p0 = var(0, 1, field=QALPHA)
-        f = p0.scale(a) - const(QALPHA, 1, QALPHA.one)
-        res = buchberger([f])
+        res = buchberger([mp(1, {(1,): a, (0,): -1}, QALPHA)])
         assert len(res.basis) == 1
         lead = res.basis[0]
-        assert lead.lead_coeff() == QALPHA.one
+        assert lead.terms[lead.lead_monomial()] == QALPHA.one
         assert constant_term(lead) == -(QALPHA.one / a)
 
     def test_zero_and_empty_inputs(self):
@@ -261,7 +246,7 @@ def _common_zero_ideals():
             for _ in range(rng.randint(2, 4)):
                 terms[tuple(rng.randint(0, 2) for _ in range(nv))] = random_fraction(rng, 3, 3)
             g = mp(nv, terms)
-            gens.append(g - const(QQ, nv, evaluate(g, point)))
+            gens.append(mp_add(g, const(QQ, nv, evaluate(g, point)), -1))
         gens = [g for g in gens if g]
         if gens:
             yield gens
@@ -293,7 +278,7 @@ def test_reduced_basis_matches_sympy_on_random_ideals():
         ]
         theirs = sympy.groebner(polys, *xs, order="grevlex", domain="QQ")
         want = {
-            mp(nv, {m: Fraction(str(c)) for m, c in p.terms()}).monic() for p in theirs.polys
+            monic(mp(nv, {m: Fraction(str(c)) for m, c in p.terms()})) for p in theirs.polys
         }
         assert set(res.basis) == want
         compared += 1
@@ -388,13 +373,13 @@ def test_normal_form_keeps_content():
     # Remainders whose coefficients share a factor other than 1, by divisors
     # whose leads are not 1: fraction-free steps scale them, and the scale
     # must be divided out again.
-    p0, p1 = var(0, 2), var(1, 2)
     cases = [
-        (p0 * p0 * 6 + p1 * 4 + const(QQ, 2, 2), [p0 * 3 + const(QQ, 2, 2)]),
-        (p0 * p1 * Fraction(9, 4) - p1 * p1 * 6, [p0 * 6 - p1 * 4, p1 * p1 * 10 + const(QQ, 2, 15)]),
-        (p0 * p0 * p1 * Fraction(-5, 3), [p0 * p1 * 7 - const(QQ, 2, 21), p0 * 2 + p1 * 3]),
+        ({(2, 0): 6, (0, 1): 4, (0, 0): 2}, [{(1, 0): 3, (0, 0): 2}]),
+        ({(1, 1): Fraction(9, 4), (0, 2): -6}, [{(1, 0): 6, (0, 1): -4}, {(0, 2): 10, (0, 0): 15}]),
+        ({(2, 1): Fraction(-5, 3)}, [{(1, 1): 7, (0, 0): -21}, {(1, 0): 2, (0, 1): 3}]),
     ]
     for f, basis in cases:
+        f, basis = mp(2, f), [mp(2, g) for g in basis]
         got = normal_form(f, basis)
         assert got == normal_form_reference(f, basis)
         assert got and gcd(*(c.numerator for c in got.terms.values())) > 1
