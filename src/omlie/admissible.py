@@ -17,7 +17,10 @@ flattened to n^3 coordinates.  The decision pipeline is
      the multiples of the residuals by each parameter, taken as the multiples
      of the echelon rows the same elimination left (same span, fewer rows),
      with the rows that alone hold a degree >= 2 monomial left out (no
-     degree <= 1 member can use them);
+     degree <= 1 member can use them).  Over Q both eliminations are
+     fraction-free on primitive integer rows, and only the degree <= 1 rows
+     they keep become ``Fraction``s; over Q(alpha) they run in the field,
+     whose inversions are the denominator trail;
   3. endgame for the strictly quadratic leftovers: a budgeted search for a
      rational point (pin a parameter, re-propagate, recurse) settles the
      satisfiable cases constructively; whatever it cannot settle goes to a
@@ -31,6 +34,7 @@ Every step is deterministic, so certificates are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +48,15 @@ from .algebra import (
 )
 from .errors import AxiomCheckError
 from .fields import QQ, rational_roots, Poly
-from .linalg import AffineSpace, Matrix, eliminate, intersect, solve_affine
+from .linalg import (
+    AffineSpace,
+    Matrix,
+    eliminate,
+    intersect,
+    primitive_rows,
+    solve_affine,
+    unit_rows,
+)
 from .multipoly import GroebnerResult, MPoly, Packing, buchberger, contains_one
 
 FULL = "full"
@@ -216,19 +228,35 @@ def _harvest_linear(residuals, d, field, with_products):
     terms cannot use such a row, so the harvest stays the same.  A
     degree <= 1 column never drops a row, since those entries are what the
     harvest keeps.
+
+    Over Q the residuals become primitive integer rows once
+    (:func:`omlie.linalg.primitive_rows`), both eliminations run
+    fraction-free on them, and only the degree <= 1 rows are divided by
+    their pivot entries into ``Fraction``s (:func:`omlie.linalg.unit_rows`).
+    Every integer row is a nonzero multiple of the row the ``Fraction``
+    kernel would hold, so the pivots, the dropped rows and the result are
+    the same; most harvests find no row, and then no ``Fraction`` is made.
+    Over Q(alpha) both run in the field: its pivot inversions are the
+    denominator trail that ``--sample`` reads.
     """
     unit = Packing(d, 3).units()
     lin, one_key = unit[0], unit[d]
-    rows, pivots = eliminate(field, residuals, lin)
+    ring = None if field is QQ else field  # None: fraction-free on integer rows
+    if ring is None:
+        residuals = primitive_rows(residuals)
+    rows, pivots = eliminate(ring, residuals, lin)
     used_products = with_products and (not pivots or pivots[-1] < lin)
     if used_products:
         params = unit[:d]
         rows += [{c + x: v for c, v in row.items()} for row in rows for x in params]
-        rows, pivots = eliminate(field, _drop_lone_rows(rows, lin), lin)
+        rows, pivots = eliminate(ring, _drop_lone_rows(rows, lin), lin)
+    first = bisect_left(pivots, lin)
+    linear = rows[first:]
+    if ring is None:
+        linear = unit_rows(linear, pivots[first:])
     # Packed monomials to parameter columns; the constant becomes the
     # right-hand side.
     param = {x: t for t, x in enumerate(unit)}
-    linear = [row for row, pc in zip(rows, pivots) if pc >= lin]
     return [
         {param[c]: -v if c == one_key else v for c, v in row.items()} for row in linear
     ], used_products

@@ -10,7 +10,16 @@ first remaining row (exact arithmetic needs no magnitude pivoting).  It keeps
 an index from each column to the rows holding it, so a pivot touches only the
 rows it reduces; with ``keep_from`` it never back-substitutes into the rows
 whose pivot lies before that column, and returns those forward-reduced
-only.  The dense :class:`Matrix` holds the n x n operators: it compares,
+only.  The same loop runs fraction-free on integer rows (no field).  The
+admissibility decider's linear-consequence harvest over Q uses it: it turns
+its residual rows into primitive integer rows with :func:`primitive_rows`,
+eliminates those, and reads only the rows it keeps back as ``Fraction``s with
+:func:`unit_rows`.  It eliminates hundreds of rows and keeps few or none, so
+int updates with content removal cost less there than a ``Fraction`` per
+entry.  The linear stage stays on the field kernel: its constraint rows are
+sparse with entries +-1, where the integer kernel measured slower.  So does
+Q(alpha), whose pivot inversions are the denominator trail.
+The dense :class:`Matrix` holds the n x n operators: it compares,
 applies itself to a vector and recognises a multiple of the identity, with no
 matrix arithmetic; ``rref`` and ``invert`` (behind ``algebra.basis_change``)
 are its views of the same routine.  Affine spaces are kept in a canonical
@@ -21,7 +30,8 @@ decider relies on that for fixed-point detection.
 
 from __future__ import annotations
 
-from math import inf
+from fractions import Fraction
+from math import gcd, inf, lcm
 
 from .fields import Field
 
@@ -92,20 +102,22 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}]({body})"
 
 
-def eliminate(field: Field, rows, keep_from: int = 0):
+def eliminate(field: Field | None, rows, keep_from: float = -inf):
     """Gauss-Jordan elimination of sparse rows, each a ``{column: entry}`` dict.
 
     Returns (reduced nonzero rows, pivot columns) in pivot order; the rows are
     those of the RREF.  Columns are taken left to right and each pivots on the
     first remaining row holding it, the pivot row swapping places with the
-    first remaining row.  That order fixes which entries get inverted, and
-    with them the denominators ``track_denominators`` records for rejecting
-    sampled alpha values.  An index from each column to the positions of the
-    rows holding it is kept as entries appear and cancel, so each pivot
-    visits only the rows it reduces.
+    first remaining row.  Over Q(alpha) that order fixes which entries get
+    inverted, and with them the denominators that
+    :func:`omlie.fields.track_denominators` records for rejecting sampled
+    alpha values.  An index from each column to the positions of the rows
+    holding it is kept as entries appear and cancel, so each pivot visits
+    only the rows it reduces.
 
-    With ``keep_from`` > 0 a pivot column below ``keep_from`` reduces only
-    the rows after it, and its row is set aside: no later pivot is
+    With ``keep_from`` given (packed monomial columns are negative, so the
+    default is none) a pivot column below ``keep_from`` reduces only the rows
+    after it, and its row is set aside: no later pivot is
     back-substituted into it.  The rows come back in pivot order as before,
     those with a pivot below ``keep_from`` first, forward-reduced only (an
     echelon form with unit pivots, zero in every earlier pivot column), then
@@ -114,8 +126,17 @@ def eliminate(field: Field, rows, keep_from: int = 0):
     input.  Pivots, inversions and the rows from ``keep_from`` on are those of
     the full elimination.  Zero entries in the input are ignored; the input
     rows are not modified.
+
+    With ``field`` None the entries are ints and the elimination is
+    fraction-free (Bareiss 1968, with content removal): no pivot row is
+    scaled, and a row holding f in the pivot column of a row with pivot entry
+    pv becomes (pv/g)·row - (f/g)·(pivot row), g = gcd(pv, f), then is
+    divided by the gcd of its entries.  Each row is then a nonzero multiple
+    of the row the field kernel holds at the same step, so the pivots, the
+    zero patterns and, through :func:`unit_rows`, the returned rows are the
+    same, except that a pivot entry need not be 1.
     """
-    one = field.one
+    one = field.one if field is not None else 1
     rows = [{c: v for c, v in row.items() if v} for row in rows]
     lead = [min(row, default=inf) for row in rows]
     holders = {}  # column -> positions of the live rows holding it
@@ -139,7 +160,7 @@ def eliminate(field: Field, rows, keep_from: int = 0):
             lead[pr], lead[pivot] = lead[pivot], lead[pr]
         prow = rows[pr]
         pv = prow[pc]
-        if pv != one:
+        if field is not None and pv != one:
             inv = one / pv
             for c in prow:
                 prow[c] = prow[c] * inv
@@ -153,6 +174,14 @@ def eliminate(field: Field, rows, keep_from: int = 0):
         for r in targets:
             row = rows[r]
             f = row.pop(pc)
+            if field is None:  # row <- (pv/g)·row - (f/g)·prow
+                g = gcd(pv, f)
+                s, f = pv // g, f // g
+                if s < 0:
+                    s, f = -s, -f
+                if s != 1:
+                    for c in row:
+                        row[c] *= s
             for c, v in rest:
                 if c in row:
                     x = row[c] - f * v
@@ -164,10 +193,36 @@ def eliminate(field: Field, rows, keep_from: int = 0):
                 else:
                     row[c] = -(f * v)
                     holders[c].add(r)
+            if field is None:
+                g = gcd(*row.values())
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
             if r > pr:
                 lead[r] = min(row, default=inf)
         pivots.append(pc)
     return rows[: len(pivots)], pivots
+
+
+def primitive_rows(rows) -> list[dict]:
+    """Sparse rows of rationals (or ints) as primitive integer rows for
+    :func:`eliminate` with no field: each row times the lcm of its
+    denominators, divided by the gcd of the products.  Zero entries are
+    dropped."""
+    out = []
+    for row in rows:
+        m = lcm(*(v.denominator for v in row.values()))
+        ints = {c: v.numerator * (m // v.denominator) for c, v in row.items() if v}
+        g = gcd(*ints.values())
+        out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
+    return out
+
+
+def unit_rows(rows, pivots) -> list[dict]:
+    """Integer rows from :func:`eliminate` with no field, each divided by its
+    entry in its pivot column: the ``Fraction`` rows the field kernel returns
+    over Q."""
+    return [{c: Fraction(v, row[pc]) for c, v in row.items()} for row, pc in zip(rows, pivots)]
 
 
 def _sparse(field: Field, vec) -> dict:

@@ -33,7 +33,7 @@ from omlie.catalog import ALTERNATE_PARAMS, instantiate
 from omlie.cli import theorem_targets
 from omlie.errors import AxiomCheckError
 from omlie.fields import QALPHA, QQ
-from omlie.linalg import AffineSpace, Matrix, intersect, solve_affine
+from omlie.linalg import AffineSpace, Matrix, eliminate, intersect, solve_affine
 from omlie.multipoly import MPoly, Packing, _degrevlex_desc_key
 
 from oracles import (
@@ -390,11 +390,13 @@ def test_product_tensor_round_trip():
     assert product_tensor_at(L, point) == A.product
 
 
-def _full_elimination(field, rows, keep_from=0):
-    """The reference loop's whole elimination: its rows before ``keep_from``
-    are an echelon form that with the rest spans the input, as
+def _full_elimination(ring, rows, keep_from):
+    """The whole elimination by the ``Fraction`` kernel, in place of the
+    harvest's fraction-free one on integer rows: its rows before
+    ``keep_from`` are an echelon form that with the rest spans the input, as
     ``eliminate`` returns them."""
-    return eliminate_reference(field, rows)
+    assert ring is None
+    return eliminate(QQ, [{c: Fraction(v) for c, v in row.items()} for row in rows])
 
 
 def _keyed(p):
@@ -440,6 +442,7 @@ def test_harvest_matches_full_elimination(monkeypatch):
                     want = admissible._harvest_linear(residuals, space.dim, QQ, with_products)
                 assert got == want
                 assert got == _loop_harvest_reference(residuals, space.dim, with_products)
+                assert all(type(v) is Fraction for row in got[0] for v in row.values())
                 harvested += len(got[0])
                 used_products += got[1]
     assert harvested and used_products
@@ -449,13 +452,15 @@ def test_product_harvests_along_the_search_match_reference(monkeypatch):
     # Every product harvest the decider makes on its way, against the plain
     # loop that multiplies every residual.  The product elimination gets at
     # most the echelon basis of the residuals and its multiples by the d
-    # parameters: rank * (d + 1) rows.
+    # parameters: rank * (d + 1) rows.  Over Q every elimination the harvest
+    # makes is the fraction-free one, on integer rows.
     harvest, eliminate = admissible._harvest_linear, admissible.eliminate
     handed, calls = [], []
 
-    def counting_eliminate(field, rows, keep_from=0):
+    def counting_eliminate(ring, rows, keep_from):
+        assert ring is None and all(type(v) is int for row in rows for v in row.values())
         handed.append(len(rows))
-        return eliminate(field, rows, keep_from)
+        return eliminate(ring, rows, keep_from)
 
     def recording_harvest(residuals, d, field, with_products):
         handed.clear()
