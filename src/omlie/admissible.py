@@ -9,10 +9,12 @@ flattened to n^3 coordinates.  The decision pipeline is
      to reproduce the given bracket;
   2. propagation loop: the module-identity residuals on the current affine
      solution space are degree <= 2 polynomials in its free parameters,
-     built straight from the space's affine coordinate forms as dicts on
-     ``multipoly``'s packed monomials, whose ascending order is the
-     elimination's column order; all degree <= 1 members of their span are
-     intersected back until a fixed point.  When the span holds none and
+     built straight from the space's nonzero affine coordinate forms as
+     dicts on ``multipoly``'s packed monomials, whose ascending order is the
+     elimination's column order (over Q on ints at one common scale, with
+     one ``Fraction`` per nonzero coefficient; over Q(alpha) on field
+     elements); all degree <= 1 members of their span are intersected back
+     until a fixed point.  When the span holds none and
      there are at most ``PRODUCTS_DIM_LIMIT`` parameters, it is enlarged by
      the multiples of the residuals by each parameter, taken as the multiples
      of the echelon rows the same elimination left (same span, fewer rows),
@@ -38,6 +40,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     OmegaLieAlgebra,
@@ -150,43 +153,102 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[di
     the harvest's column order (see :func:`_harvest_linear`).
     Identically-zero entries are dropped.  Ordering is pairs (i < j) then
     entries row-major, so the system is deterministic.
+
+    Each ambient coordinate is an affine form in the parameters, read off the
+    sparse basis rows and the origin's nonzero entries.  Row r of
+    X_j X_i - X_i X_j is built by walking only the nonzero forms X[r][k] and,
+    for each, only the nonzero forms of row k, so the work is the products
+    made, not n^5 loop steps.  Over Q that loop runs on ints: the forms are
+    scaled by D, the lcm of the space's denominators, and the bracket and
+    omega entries by E, the lcm of theirs, every term is accumulated at
+    D*D*E, and each nonzero coefficient becomes one ``Fraction`` at the end.
+    Over Q(alpha) the same loop runs on field elements at scale 1.
     """
     n = L.dim
     d = space.dim
     unit = Packing(d, 3).units()
+    one_key = unit[d]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = [[(m, v) for m, v in enumerate(L.bracket.pair(i, j)) if v] for i, j in pairs]
+    omegas = [L.omega.entry(i, j) for i, j in pairs]
     # The affine form of each ambient coordinate: (packed x_t, entry) pairs,
     # with the packed 1 for the origin's entry.
     forms = [[] for _ in range(n**3)]
     for t, row in enumerate(space.basis):
+        x = unit[t]
         for v, b in row.items():
-            forms[v].append((unit[t], b))
+            forms[v].append((x, b))
     for v, o in enumerate(space.origin):
         if o:
-            forms[v].append((unit[d], o))
-    X = [[[forms[_var(n, i, r, c)] for c in range(n)] for r in range(n)] for i in range(n)]
-    negX = [[[[(p, -a) for p, a in f] for f in row] for row in mat] for mat in X]
-    one_key = unit[d]
+            forms[v].append((one_key, o))
+    if L.field is QQ:
+        D = lcm(*(b.denominator for f in forms for _, b in f))
+        E = lcm(*(v.denominator for br in brackets for _, v in br), *(w.denominator for w in omegas))
+        scale = D * D * E
+
+        def lift(v, s):  # v * s as an int; s is a multiple of v's denominator
+            return v.numerator * (s // v.denominator)
+
+        if scale == 1:
+            unlift = Fraction
+        else:
+
+            def unlift(x):
+                return Fraction(x, scale)
+
+    else:
+        D = E = scale = 1
+
+        def lift(v, s):
+            return v
+
+        def unlift(x):
+            return x
+
+    # Row r of each matrix as its nonzero (column, form) pairs: at D as a
+    # right factor, at D*E as a left factor, tagged 0 when negated (the left
+    # factor of X_i X_j) and 1 when not (of X_j X_i).
+    right = [[[] for _ in range(n)] for _ in range(n)]
+    left = [[[] for _ in range(n)] for _ in range(n)]
+    neg = [[[] for _ in range(n)] for _ in range(n)]
+    for v, f in enumerate(forms):
+        if f:
+            i, rc = divmod(v, n * n)
+            r, c = divmod(rc, n)
+            f = [(p, lift(a, D)) for p, a in f]
+            right[i][r].append((c, f))
+            if E != 1:
+                f = [(p, a * E) for p, a in f]
+            left[i][r].append((c, 1, f))
+            neg[i][r].append((c, 0, [(p, -a) for p, a in f]))
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = [(m, v) for m, v in enumerate(L.bracket.pair(i, j)) if v]
-            wij = L.omega.entry(i, j)
-            for r in range(n):
-                for c in range(n):
-                    acc = {}
-                    for k in range(n):  # -(X_i X_j)[r][c] + (X_j X_i)[r][c]
-                        for x, y in ((negX[i][r][k], X[j][k][c]), (X[j][r][k], X[i][k][c])):
-                            for p, a in x:
-                                for q, b in y:
-                                    key = p + q
-                                    ab = a * b
-                                    acc[key] = acc[key] + ab if key in acc else ab
-                    for m, v in br:
-                        for key, a in X[m][r][c]:
-                            acc[key] = acc[key] + v * a if key in acc else v * a
-                    if r == c and wij:
-                        acc[one_key] = acc[one_key] - wij if one_key in acc else -wij
-                    residual = {key: v for key, v in acc.items() if v}
+    for (i, j), br, w in zip(pairs, brackets, omegas):
+        br = [(m, lift(v, D * E)) for m, v in br]
+        w = lift(w, scale)
+        for r in range(n):
+            accs = [{} for _ in range(n)]  # row r, one dict per column
+            # -(X_i X_j)[r] + (X_j X_i)[r], summed by k, X_i X_j's term first
+            # ((k, tag) is unique, so sorting never compares the forms).
+            for k, tag, x in sorted(neg[i][r] + left[j][r]):
+                y = right[i][k] if tag else right[j][k]
+                for p, a in x:
+                    for c, f in y:
+                        acc = accs[c]
+                        for q, b in f:
+                            key = p + q
+                            ab = a * b
+                            acc[key] = acc[key] + ab if key in acc else ab
+            for m, v in br:
+                for c, f in right[m][r]:
+                    acc = accs[c]
+                    for key, a in f:
+                        acc[key] = acc[key] + v * a if key in acc else v * a
+            if w:
+                acc = accs[r]
+                acc[one_key] = acc[one_key] - w if one_key in acc else -w
+            for acc in accs:
+                if acc:
+                    residual = {key: unlift(v) for key, v in acc.items() if v}
                     if residual:
                         out.append(residual)
     return out

@@ -603,9 +603,18 @@ def test_residuals_match_symbolic_matrix_products(monkeypatch):
     # propagation loop visits (the first, and the fixed point when feasible)
     # and the fixed point with its first parameter pinned; cases: the
     # positive controls and every theorem target, over Q and Q(alpha).
+    # The LSA3 commutators' bracket does not depend on a1..a3, so the
+    # fractional-parameter one is also moved to a basis built from them:
+    # bracket denominators up to 60, omega denominators up to 10.
+    a1, a2, a3 = Fraction(-7, 4), Fraction(5, 6), Fraction(3, 5)
+    fractional = basis_change(
+        commutator_algebra(instantiate("LSA3-1", {"a1": a1, "a2": a2, "a3": a3}, QQ)),
+        Matrix(QQ, [[a1, 1, 0], [0, a2, 1], [1, 0, a3]]),
+    )
     cases = [
-        (commutator_algebra(instantiate(family, {}, QQ)), mode)
-        for family in ("LSA3-1", "LSA3-2")
+        (L, mode)
+        for L in [commutator_algebra(instantiate(f, {}, QQ)) for f in ("LSA3-1", "LSA3-2")]
+        + [fractional]
         for mode in (FULL, MODULE_ONLY)
     ] + [(abelian(QQ, 3), MODULE_ONLY)]
     cases += [(instantiate(name, params, field), FULL) for name, params, field in theorem_targets()]
