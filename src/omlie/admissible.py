@@ -11,15 +11,16 @@ flattened to n^3 coordinates.  The decision pipeline is
      solution space are degree <= 2 polynomials in its free parameters,
      built straight from the space's nonzero affine coordinate forms as
      dicts on ``multipoly``'s packed monomials, whose ascending order is the
-     elimination's column order (over Q on ints at one common scale, with
-     one ``Fraction`` per nonzero coefficient; over Q(alpha) on field
-     elements); all degree <= 1 members of their span are intersected back
-     until a fixed point.  When the span holds none and
-     there are at most ``PRODUCTS_DIM_LIMIT`` parameters, it is enlarged by
-     the multiples of the residuals by each parameter, taken as the multiples
-     of the echelon rows the same elimination left (same span, fewer rows),
-     with the rows that alone hold a degree >= 2 monomial left out (no
-     degree <= 1 member can use them).  Over Q both eliminations are
+     elimination's column order (over Q on ints at one common scale, each
+     residual divided by its content into the primitive integer row the
+     harvest eliminates; over Q(alpha) on field elements); all degree <= 1
+     members of their span are intersected back until a fixed point.  When
+     the span holds none and there are at most ``PRODUCTS_DIM_LIMIT``
+     parameters, it is enlarged by the multiples of the residuals by each
+     parameter, taken as the multiples of the echelon rows the same
+     elimination left (same span, fewer rows), with the rows that alone
+     hold a degree >= 2 monomial left out (no degree <= 1 member can use
+     them).  Over Q both eliminations are
      fraction-free on primitive integer rows, and only the degree <= 1 rows
      they keep become ``Fraction``s; over Q(alpha) they run in the field,
      whose inversions are the denominator trail;
@@ -40,7 +41,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import (
     OmegaLieAlgebra,
@@ -56,7 +57,6 @@ from .linalg import (
     Matrix,
     eliminate,
     intersect,
-    primitive_rows,
     solve_affine,
     unit_rows,
 )
@@ -150,7 +150,9 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[di
     Each residual is a polynomial of degree <= 2 in the space's d free
     parameters, given as a dict ``{monomial: nonzero coefficient}`` on the
     monomials of ``Packing(d, 3)``, so ascending keys are descending degrevlex,
-    the harvest's column order (see :func:`_harvest_linear`).
+    the harvest's column order (see :func:`_harvest_linear`).  Over Q the
+    coefficients are ints: each residual is its primitive integer associate
+    (content 1, the same signs), the row the harvest eliminates.
     Identically-zero entries are dropped.  Ordering is pairs (i < j) then
     entries row-major, so the system is deterministic.
 
@@ -161,7 +163,7 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[di
     made, not n^5 loop steps.  Over Q that loop runs on ints: the forms are
     scaled by D, the lcm of the space's denominators, and the bracket and
     omega entries by E, the lcm of theirs, every term is accumulated at
-    D*D*E, and each nonzero coefficient becomes one ``Fraction`` at the end.
+    D*D*E, and each residual is divided by the gcd of its coefficients.
     Over Q(alpha) the same loop runs on field elements at scale 1.
     """
     n = L.dim
@@ -181,29 +183,19 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[di
     for v, o in enumerate(space.origin):
         if o:
             forms[v].append((one_key, o))
-    if L.field is QQ:
+    integral = L.field is QQ
+    if integral:
         D = lcm(*(b.denominator for f in forms for _, b in f))
         E = lcm(*(v.denominator for br in brackets for _, v in br), *(w.denominator for w in omegas))
-        scale = D * D * E
 
         def lift(v, s):  # v * s as an int; s is a multiple of v's denominator
             return v.numerator * (s // v.denominator)
 
-        if scale == 1:
-            unlift = Fraction
-        else:
-
-            def unlift(x):
-                return Fraction(x, scale)
-
     else:
-        D = E = scale = 1
+        D = E = 1
 
         def lift(v, s):
             return v
-
-        def unlift(x):
-            return x
 
     # Row r of each matrix as its nonzero (column, form) pairs: at D as a
     # right factor, at D*E as a left factor, tagged 0 when negated (the left
@@ -224,7 +216,7 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[di
     out = []
     for (i, j), br, w in zip(pairs, brackets, omegas):
         br = [(m, lift(v, D * E)) for m, v in br]
-        w = lift(w, scale)
+        w = lift(w, D * D * E)
         for r in range(n):
             accs = [{} for _ in range(n)]  # row r, one dict per column
             # -(X_i X_j)[r] + (X_j X_i)[r], summed by k, X_i X_j's term first
@@ -247,10 +239,10 @@ def module_identity_residuals(L: OmegaLieAlgebra, space: AffineSpace) -> list[di
                 acc = accs[r]
                 acc[one_key] = acc[one_key] - w if one_key in acc else -w
             for acc in accs:
-                if acc:
-                    residual = {key: unlift(v) for key, v in acc.items() if v}
-                    if residual:
-                        out.append(residual)
+                residual = {key: v for key, v in acc.items() if v}
+                if residual:
+                    g = gcd(*residual.values()) if integral else 1
+                    out.append({key: v // g for key, v in residual.items()} if g > 1 else residual)
     return out
 
 
@@ -291,10 +283,10 @@ def _harvest_linear(residuals, d, field, with_products):
     degree <= 1 column never drops a row, since those entries are what the
     harvest keeps.
 
-    Over Q the residuals become primitive integer rows once
-    (:func:`omlie.linalg.primitive_rows`), both eliminations run
-    fraction-free on them, and only the degree <= 1 rows are divided by
-    their pivot entries into ``Fraction``s (:func:`omlie.linalg.unit_rows`).
+    Over Q the residuals arrive as primitive integer rows, both
+    eliminations run fraction-free on them, and only the degree <= 1 rows
+    are divided by their pivot entries into ``Fraction``s
+    (:func:`omlie.linalg.unit_rows`).
     Every integer row is a nonzero multiple of the row the ``Fraction``
     kernel would hold, so the pivots, the dropped rows and the result are
     the same; most harvests find no row, and then no ``Fraction`` is made.
@@ -304,8 +296,6 @@ def _harvest_linear(residuals, d, field, with_products):
     unit = Packing(d, 3).units()
     lin, one_key = unit[0], unit[d]
     ring = None if field is QQ else field  # None: fraction-free on integer rows
-    if ring is None:
-        residuals = primitive_rows(residuals)
     rows, pivots = eliminate(ring, residuals, lin)
     used_products = with_products and (not pivots or pivots[-1] < lin)
     if used_products:
@@ -476,7 +466,7 @@ def _branch_candidates(residuals, d, field):
     return 0, list(_DEFAULT_CANDIDATES)
 
 
-def _find_rational_point(L, prop: PropagationResult, budget: int = 400):
+def _find_rational_point(L, prop: PropagationResult, budget: int):
     """Best-effort rational solution of the leftover quadratic system.
 
     Depth-first search: pin one free parameter to a candidate value, rerun the

@@ -268,12 +268,12 @@ class CheckReport:
     def __bool__(self):
         return self.ok
 
-    def describe(self, names=None) -> str:
+    def describe(self, names) -> str:
         if self.ok:
             return "all identities hold"
         lines = []
         for law, key, _residual in self.failures:
-            where = ",".join(names[i] for i in key) if names else ",".join(map(str, key))
+            where = ",".join(names[i] for i in key)
             lines.append(f"{law} fails at ({where})")
         return "; ".join(lines)
 
@@ -410,7 +410,7 @@ def is_perfect(L: OmegaLieAlgebra) -> bool:
     return derived_subalgebra(L)[1] == L.dim
 
 
-def basis_change(L: OmegaLieAlgebra, T: Matrix, new_names=None) -> OmegaLieAlgebra:
+def basis_change(L: OmegaLieAlgebra, T: Matrix) -> OmegaLieAlgebra:
     """Transport bracket and omega through T; column j of T is the j-th new basis vector."""
     n = L.dim
     if T.nrows != n or T.ncols != n:
@@ -429,7 +429,7 @@ def basis_change(L: OmegaLieAlgebra, T: Matrix, new_names=None) -> OmegaLieAlgeb
     ]
     return OmegaLieAlgebra(
         L.field,
-        new_names if new_names is not None else L.basis_names,
+        L.basis_names,
         StructureTensor(L.field, coeffs),
         OmegaForm(L.field, omega_rows),
     )

@@ -47,17 +47,17 @@ class CatalogEntry:
         return str(self.min_dim) if self.fixed_dim else f">={self.min_dim}"
 
 
-def _scalar(params, name, field, default=None, formal_ok=True):
+def _scalar(params, name, field, default=None):
     """Fetch and coerce a scalar parameter.
 
-    Over Q(alpha) a missing value defaults to the formal parameter when the
-    slot allows it; over Q every parametric slot must be bound.
+    A missing value takes the default when there is one, else, over Q(alpha),
+    the formal parameter; over Q a slot with no default must be bound.
     """
     if name in params:
         return field.coerce(params[name])
     if default is not None:
         return field.coerce(default)
-    if field is QALPHA and formal_ok:
+    if field is QALPHA:
         return QALPHA.alpha
     raise SideConditionError(f"parameter {name!r} must be given over {field.name}")
 
@@ -263,9 +263,9 @@ def _build_p1(params, field):
 
 def _build_p2(params, field):
     m = _abelian_dim(params, "dim_h", "P2")
-    b1 = _scalar(params, "b1", field, default=1, formal_ok=False)
-    b2 = _scalar(params, "b2", field, default=0, formal_ok=False)
-    c1 = _scalar(params, "c1", field, default=-2, formal_ok=False)
+    b1 = _scalar(params, "b1", field, default=1)
+    b2 = _scalar(params, "b2", field, default=0)
+    c1 = _scalar(params, "c1", field, default=-2)
     if _scalar_equals(b1, 0) or _scalar_equals(c1, 0):
         raise SideConditionError("P2 requires b1 != 0 and c1 != 0")
     if b1 + c1 + field.one:
@@ -392,19 +392,8 @@ ALTERNATE_PARAMS = {
 }
 
 
-def list_entries(kind: str | None = None, dim: int | None = None) -> list[CatalogEntry]:
-    out = []
-    for entry in _ENTRIES.values():
-        if kind is not None and entry.kind != kind:
-            continue
-        if dim is not None:
-            if entry.fixed_dim:
-                if entry.min_dim != dim:
-                    continue
-            elif dim < entry.min_dim:
-                continue
-        out.append(entry)
-    return out
+def list_entries(kind: str | None = None) -> list[CatalogEntry]:
+    return [entry for entry in _ENTRIES.values() if kind is None or entry.kind == kind]
 
 
 def get_entry(name: str) -> CatalogEntry:

@@ -12,7 +12,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .fields import Field, QALPHA, RatFunc
+from .fields import Field, QALPHA, RatFunc, _size
+
+# The largest alpha-degree and bit length (see fields._size) of a scalar the
+# parser builds; a power is checked before it is computed, so an oversized one
+# is an ExprError, not a run out of memory or time.
+MAX_ALPHA_DEGREE = 256
+MAX_SCALAR_BITS = 4096
 
 
 class ExprError(ValueError):
@@ -122,13 +128,13 @@ class _Parser:
             n = int(eval_)
             if base[0] == "v":
                 raise ExprError("cannot raise a basis combination to a power", pos)
-            return ("s", base[1] ** n)
+            return ("s", self._bounded(base[1], pos, n) ** n)
         return base
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "num":
-            return ("s", self.field.coerce(int(val)))
+            return ("s", self._bounded(self.field.coerce(int(val)), pos))
         if kind == "name":
             if val == "alpha":
                 if self.field is QALPHA:
@@ -144,6 +150,17 @@ class _Parser:
             return inner
         raise ExprError(f"unexpected token {val!r}", pos)
 
+    def _bounded(self, x, pos, n=1):
+        """x, once x**n is known to keep within the bounds: it has n times x's
+        degree and, for x of b bits, at least n*(b-1)+1 bits, the fewest a
+        power of a b-bit integer has."""
+        degree, bits = _size(x)
+        if n * degree > MAX_ALPHA_DEGREE:
+            raise ExprError(f"scalar of alpha-degree above {MAX_ALPHA_DEGREE}", pos)
+        if n * (bits - 1) + 1 > MAX_SCALAR_BITS:
+            raise ExprError(f"scalar of more than {MAX_SCALAR_BITS} bits", pos)
+        return x
+
     def _negate(self, value):
         if value[0] == "s":
             return ("s", -value[1])
@@ -158,13 +175,13 @@ class _Parser:
 
     def _combine(self, a, b, op, pos):
         if a[0] == "s" and b[0] == "s":
-            return ("s", a[1] + b[1] if op == "+" else a[1] - b[1])
+            return ("s", self._bounded(a[1] + b[1] if op == "+" else a[1] - b[1], pos))
         va, vb = self._as_vector(a, pos), self._as_vector(b, pos)
         out = dict(va)
         for k, c in vb.items():
             c = c if op == "+" else -c
             acc = out.get(k)
-            acc = c if acc is None else acc + c
+            acc = c if acc is None else self._bounded(acc + c, pos)
             if acc:
                 out[k] = acc
             else:
@@ -174,10 +191,10 @@ class _Parser:
     def _muldiv(self, a, b, op, pos):
         if a[0] == "s" and b[0] == "s":
             if op == "*":
-                return ("s", a[1] * b[1])
+                return ("s", self._bounded(a[1] * b[1], pos))
             if not b[1]:
                 raise ExprError("division by zero", pos)
-            return ("s", a[1] / b[1])
+            return ("s", self._bounded(a[1] / b[1], pos))
         if a[0] == "v" and b[0] == "v":
             raise ExprError("cannot multiply or divide two basis combinations", pos)
         if op == "/":
@@ -185,11 +202,11 @@ class _Parser:
                 raise ExprError("cannot divide by a basis combination", pos)
             if not b[1]:
                 raise ExprError("division by zero", pos)
-            return ("v", {k: c / b[1] for k, c in a[1].items()})
+            return ("v", {k: self._bounded(c / b[1], pos) for k, c in a[1].items()})
         scalar, vec = (a[1], b[1]) if a[0] == "s" else (b[1], a[1])
         if not scalar:
             return ("v", {})
-        return ("v", {k: c * scalar for k, c in vec.items()})
+        return ("v", {k: self._bounded(c * scalar, pos) for k, c in vec.items()})
 
 
 def parse_scalar(text: str, field: Field):

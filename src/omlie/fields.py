@@ -242,7 +242,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def format_poly(p: Poly, var: str = "alpha") -> str:
+def format_poly(p: Poly) -> str:
     if not p:
         return "0"
     parts = []
@@ -255,7 +255,7 @@ def format_poly(p: Poly, var: str = "alpha") -> str:
         if k == 0:
             body = str(mag)
         else:
-            head = var if k == 1 else f"{var}^{k}"
+            head = "alpha" if k == 1 else f"alpha^{k}"
             body = head if mag == 1 else f"{mag}*{head}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
@@ -490,6 +490,17 @@ class RatFunc:
         return f"RatFunc({format_ratfunc(self)!r})"
 
 
+def _size(x):
+    """(alpha-degree, bits) of a scalar: the larger degree of its numerator and
+    denominator, and the larger bit length of their sums of absolute
+    coefficient values (of ``abs(numerator)`` and ``denominator`` for a
+    ``Fraction``)."""
+    if isinstance(x, RatFunc):
+        parts = (x._n, x._d)
+        return max(map(len, parts)) - 1, max(sum(map(abs, p)).bit_length() for p in parts)
+    return 0, max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+
+
 def _homogenised(a, p, q):
     """Sum of a[k] p^k q^(deg a - k)."""
     acc, qk = 0, 1
@@ -519,7 +530,9 @@ class Field:
     """Shared interface over the two scalar fields.
 
     Generic code only ever touches ``zero``, ``one``, ``coerce`` and the
-    arithmetic operators of the elements themselves.
+    arithmetic operators of the elements themselves.  Each field is one
+    module-level instance, ``QQ`` or ``QALPHA``, which the decider tests by
+    identity; copying or unpickling one gives that instance back.
     """
 
     name: str = ""
@@ -542,6 +555,9 @@ class Field:
 
     def format(self, x) -> str:
         raise NotImplementedError
+
+    def __reduce__(self):
+        return field_named, (self.name,)
 
     def __repr__(self):
         return f"<field {self.name}>"

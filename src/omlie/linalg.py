@@ -11,12 +11,11 @@ an index from each column to the rows holding it, so a pivot touches only the
 rows it reduces; with ``keep_from`` it never back-substitutes into the rows
 whose pivot lies before that column, and returns those forward-reduced
 only.  The same loop runs fraction-free on integer rows (no field).  The
-admissibility decider's linear-consequence harvest over Q uses it: it turns
-its residual rows into primitive integer rows with :func:`primitive_rows`,
-eliminates those, and reads only the rows it keeps back as ``Fraction``s with
-:func:`unit_rows`.  It eliminates hundreds of rows and keeps few or none, so
-int updates with content removal cost less there than a ``Fraction`` per
-entry.  The linear stage stays on the field kernel: its constraint rows are
+admissibility decider's linear-consequence harvest over Q uses it: its
+residuals are built as primitive integer rows, it eliminates those, and it
+reads only the rows it keeps back as ``Fraction``s with :func:`unit_rows`.
+It eliminates hundreds of rows and keeps few or none, so int updates with
+content removal cost less there than a ``Fraction`` per entry.  The linear stage stays on the field kernel: its constraint rows are
 sparse with entries +-1, where the integer kernel measured slower.  So does
 Q(alpha), whose pivot inversions are the denominator trail.
 The dense :class:`Matrix` holds the n x n operators: it compares,
@@ -31,7 +30,7 @@ decider relies on that for fixed-point detection.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf
 
 from .fields import Field
 
@@ -202,20 +201,6 @@ def eliminate(field: Field | None, rows, keep_from: float = -inf):
                 lead[r] = min(row, default=inf)
         pivots.append(pc)
     return rows[: len(pivots)], pivots
-
-
-def primitive_rows(rows) -> list[dict]:
-    """Sparse rows of rationals (or ints) as primitive integer rows for
-    :func:`eliminate` with no field: each row times the lcm of its
-    denominators, divided by the gcd of the products.  Zero entries are
-    dropped."""
-    out = []
-    for row in rows:
-        m = lcm(*(v.denominator for v in row.values()))
-        ints = {c: v.numerator * (m // v.denominator) for c, v in row.items() if v}
-        g = gcd(*ints.values())
-        out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
-    return out
 
 
 def unit_rows(rows, pivots) -> list[dict]:

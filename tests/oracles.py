@@ -9,13 +9,13 @@ import heapq
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from itertools import product as iproduct
-from math import inf
+from math import gcd, inf, lcm
 from operator import add, sub
 
 from omlie.admissible import _DEFAULT_CANDIDATES
 from omlie.fields import QQ, Poly, _record_inversion, rational_roots
 from omlie.linalg import Matrix
-from omlie.multipoly import GroebnerResult, MPoly
+from omlie.multipoly import GroebnerResult, MPoly, Packing
 
 
 def _apply(tensor, u, v):
@@ -408,6 +408,19 @@ def eliminate_reference(field, rows):
     return rows[: len(pivots)], pivots
 
 
+def primitive_rows(rows):
+    """The primitive integer associate of each sparse row of rationals (or
+    ints): the row times the lcm of its denominators, divided by the gcd of
+    the products.  Zero entries are dropped."""
+    out = []
+    for row in rows:
+        m = lcm(*(v.denominator for v in row.values()))
+        ints = {c: v.numerator * (m // v.denominator) for c, v in row.items() if v}
+        g = gcd(*ints.values())
+        out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
+    return out
+
+
 def harvest_reference(residuals, d, field, with_products):
     """The linear-consequence harvest by the plain loop: every residual and,
     with products, every residual times every variable, eliminated whole by
@@ -529,6 +542,15 @@ def residuals_reference(L, space):
                     if acc:
                         out.append(acc)
     return out
+
+
+def keyed_residuals_reference(L, space):
+    """:func:`residuals_reference` in the format the decider builds: each
+    residual a dict on the packed monomials of ``Packing(d, 3)``, and over Q
+    its primitive integer associate."""
+    pack = Packing(space.dim, 3).pack
+    rows = [{pack(m): c for m, c in p.terms.items()} for p in residuals_reference(L, space)]
+    return primitive_rows(rows) if L.field is QQ else rows
 
 
 # ------------------------------------------------------- Q(alpha) on Fractions

@@ -1,7 +1,9 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 
@@ -40,8 +42,9 @@ from oracles import (
     branch_candidates_reference,
     eliminate_reference,
     harvest_reference,
+    keyed_residuals_reference,
+    primitive_rows,
     random_fraction,
-    residuals_reference,
     scalar_matrix,
 )
 
@@ -482,6 +485,25 @@ def test_product_harvests_along_the_search_match_reference(monkeypatch):
     assert sum(1 for _, _, got, _ in calls if got) >= 2
 
 
+def test_deep_copied_algebra_decides_on_the_integer_kernel(monkeypatch):
+    # The decider picks its Q paths by ``field is QQ``.  A deep copy keeps the
+    # field itself, so the copy equals the algebra, decides with the same
+    # report, and every harvest still eliminates integer rows.
+    eliminate, rings = admissible.eliminate, []
+
+    def recording_eliminate(ring, rows, keep_from):
+        rings.append(ring)
+        return eliminate(ring, rows, keep_from)
+
+    monkeypatch.setattr(admissible, "eliminate", recording_eliminate)
+    L = commutator_algebra(instantiate("LSA3-1", {}, QQ))
+    for algebra, mode in ((L, FULL), (L, MODULE_ONLY), (abelian(QQ, 3), MODULE_ONLY)):
+        copied = copy.deepcopy(algebra)
+        assert copied.field is QQ and copied == algebra
+        assert decide_admissible(copied, mode=mode) == decide_admissible(algebra, mode=mode)
+    assert rings and all(ring is None for ring in rings)
+
+
 def test_drop_lone_rows_runs_to_a_fixed_point():
     one = QQ.one
     # Columns 0-2 are degree >= 2 monomials, 3-4 parameters, 5 the constant.
@@ -497,14 +519,14 @@ def test_drop_lone_rows_runs_to_a_fixed_point():
     # x^2 + 1 hold y^2, x^2*y and x^3 alone; then x*(x - y) is alone on x*y,
     # then x^2 + 1 on x^2.  Only x - y is left, and x - y = 0 is the harvest.
     residuals = [MPoly(QQ, 2, {(2, 0): 1, (0, 0): 1}), MPoly(QQ, 2, {(1, 0): 1, (0, 1): -1})]
-    got, _ = admissible._harvest_linear([_keyed(p) for p in residuals], 2, QQ, True)
+    got, _ = admissible._harvest_linear(primitive_rows(map(_keyed, residuals)), 2, QQ, True)
     assert got == harvest_reference(residuals, 2, QQ, True) == [{0: one, 1: -one}]
     # That span already holds x - y, so the harvest stops there without the
     # multiples.  The span of x^2 - x*y and x*y + 1 holds no linear row; of them and their multiples, x*(x^2 - x*y) holds x^3
     # alone and x^2 - x*y holds x^2 alone, then x*y + 1 is alone on x*y.
     # y*(x^2 - x*y) - x*(x*y + 1) + y*(x*y + 1) = y - x is left.
     residuals = [MPoly(QQ, 2, {(2, 0): 1, (1, 1): -1}), MPoly(QQ, 2, {(1, 1): 1, (0, 0): 1})]
-    keyed = [_keyed(p) for p in residuals]
+    keyed = primitive_rows(map(_keyed, residuals))
     assert admissible._harvest_linear(keyed, 2, QQ, False) == ([], False)
     got = admissible._harvest_linear(keyed, 2, QQ, True)
     assert got == ([{0: one, 1: -one}], True)
@@ -598,8 +620,9 @@ def test_branch_candidates_match_mpoly_reference(monkeypatch):
 
 
 def test_residuals_match_symbolic_matrix_products(monkeypatch):
-    # The keyed residuals, as MPoly, against the products of the operators'
-    # entries as affine MPoly, in the same order.  Spaces: every one the
+    # The keyed residuals against the products of the operators' entries as
+    # affine MPoly, in the same order: over Q exactly their primitive integer
+    # associates, with int entries of content 1.  Spaces: every one the
     # propagation loop visits (the first, and the fixed point when feasible)
     # and the fixed point with its first parameter pinned; cases: the
     # positive controls and every theorem target, over Q and Q(alpha).
@@ -635,8 +658,10 @@ def test_residuals_match_symbolic_matrix_products(monkeypatch):
             spaces.append(fixed.restrict([{0: field.one, fixed.dim: field.one}]))
         for space in spaces:
             got = module_identity_residuals(L, space)
-            want = residuals_reference(L, space)
-            assert admissible._as_mpolys(got, space.dim, field) == want
-            compared[k] += bool(want)
+            assert got == keyed_residuals_reference(L, space)
+            if field is QQ:
+                assert all(type(v) is int for p in got for v in p.values())
+                assert all(gcd(*p.values()) == 1 for p in got)
+            compared[k] += bool(got)
     assert all(compared[k] for k in range(len(cases)))
     assert {L.field for L, _ in cases} == {QQ, QALPHA}

@@ -27,10 +27,10 @@ def _parametric(entry):
 
 class TestListing:
     def test_dim3_lie_entries(self):
-        assert {e.name for e in list_entries(kind="lie", dim=3)} == LIE3
+        assert {e.name for e in LIE if e.min_dim == 3} == LIE3
 
     def test_dim4_lie_entries(self):
-        names = {e.name for e in list_entries(kind="lie", dim=4)}
+        names = {e.name for e in LIE if e.min_dim == 4}
         assert names == LIE4 and len(names) == 5
 
     def test_lsa_entries(self):

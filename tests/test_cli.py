@@ -99,6 +99,32 @@ class TestCatalogCommands:
         assert time.perf_counter() - started < 1
         assert code == 2 and out == "" and f"{param} <= {MAX_DIM - 3}" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("Q(alpha)", "alpha^400000000*x", "alpha-degree above 256"),
+            ("Q", "10^9999999999*x", "more than 4096 bits"),
+        ],
+    )
+    def test_file_with_an_oversized_scalar_exit_2(self, tmp_path, field, value, message):
+        # Computed, either power would exhaust memory or run for minutes; the
+        # parser refuses it first.  Run apart, with 1.5 GB of address space
+        # and a time-out, so a regression fails here and goes no further.
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "big.alg"
+        path.write_text(f"kind = lie\nfield = {field}\ndim = 2\nbasis = x, y\n[brackets]\nx,y = {value}\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_PATH), env.get("PYTHONPATH")]))
+        limit = 1500 * 2**20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        done = subprocess.run([sys.executable, "-m", "omlie", "check", str(path)], capture_output=True,
+                              text=True, env=env, timeout=60, preexec_fn=cap)
+        assert done.returncode == 2 and done.stdout == ""
+        assert f"line 6: scalar of {message}" in done.stderr and "Traceback" not in done.stderr
+
     def test_file_past_the_dimension_ceiling_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.alg"
         path.write_text(f"kind = lie\nfield = Q\ndim = {10**8}\nbasis = e\n")

@@ -1,9 +1,13 @@
+import copy
+import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from oracles import poly_add, poly_divmod_reference, poly_mul
 
+from omlie.exprs import MAX_ALPHA_DEGREE, MAX_SCALAR_BITS, ExprError, parse_combination
 from omlie.fields import (
     Poly,
     QALPHA,
@@ -164,6 +168,40 @@ class TestScalarParsing:
             q = _random_scalar(rng, QQ)
             assert QQ.parse(QQ.format(q)) == q
 
+    def test_scalars_past_the_bounds_are_rejected_fast(self):
+        # At each bound the value parses; one step past it, by a power, a
+        # product, a quotient, a sum or a literal, it is an ExprError, and the
+        # power is refused before it is computed.  Powers far past the bounds
+        # run apart, under a memory cap, in tests/test_cli.py.
+        assert MAX_ALPHA_DEGREE == 256 and MAX_SCALAR_BITS == 4096
+        started = time.perf_counter()
+        assert QALPHA.parse("alpha^256") == ALPHA**256
+        assert QQ.parse("2^4095") == QQ.parse("(2^2048)*(2^2047)") == 2**4095
+        assert QQ.parse("(1/2)^4095") == Fraction(1, 2**4095)
+        assert QQ.parse("2^4094 + 2^4094") == QQ.parse(str(2**4095)) == 2**4095
+        assert QQ.parse("1^99999999999") == QQ.one
+        past = [
+            (QALPHA, "alpha^257", "alpha-degree above 256"),
+            (QALPHA, "alpha^200*alpha^57", "alpha-degree above 256"),
+            (QALPHA, "1/alpha^200/alpha^57", "alpha-degree above 256"),
+            (QALPHA, "1/(alpha^200+1) + 1/(alpha^57+1)", "alpha-degree above 256"),
+            (QALPHA, "2^4096", "more than 4096 bits"),
+            (QQ, "2^4096", "more than 4096 bits"),
+            (QQ, "(1/2)^4096", "more than 4096 bits"),
+            (QQ, "(2^2048)*(2^2048)", "more than 4096 bits"),
+            (QQ, "(1/2^2048)/2^2048", "more than 4096 bits"),
+            (QQ, "2^4095 + 2^4095", "more than 4096 bits"),
+            (QQ, "-2^4095 - 2^4095", "more than 4096 bits"),
+            (QQ, str(2**4096), "more than 4096 bits"),
+        ]
+        for field, text, message in past:
+            with pytest.raises(ExprError, match=message):
+                field.parse(text)
+        for text in ("2^4095*x + 2^4095*x", "(2^2048*x)*2^2048", "x/2^2048/2^2048"):
+            with pytest.raises(ExprError, match="more than 4096 bits"):
+                parse_combination(text, QQ, ["x"])
+        assert time.perf_counter() - started < 5
+
     def test_format_poly(self):
         assert format_poly(P(Fraction(1, 2), -2, 1)) == "alpha^2 - 2*alpha + 1/2"
         assert format_poly(Poly()) == "0"
@@ -174,6 +212,17 @@ def test_field_named():
     assert field_named("Q(alpha)") is QALPHA
     with pytest.raises(ValueError):
         field_named("R")
+
+
+@pytest.mark.parametrize("field", [QQ, QALPHA], ids=["Q", "Q(alpha)"])
+def test_fields_stay_singletons_through_copy_and_pickle(field):
+    assert copy.copy(field) is field
+    assert copy.deepcopy(field) is field
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(field, protocol)) is field
+    # inside a container too, with elements of the field
+    box = pickle.loads(pickle.dumps([field, field.one, field.coerce(Fraction(-3, 7))]))
+    assert box[0] is field and box[1:] == [field.one, field.coerce(Fraction(-3, 7))]
 
 
 def test_poly_division_property():

@@ -3,7 +3,8 @@
 Random sparse rows over Q (zero entries, empty rows, copies, combinations of
 other rows, a copy with a changed right-hand side, entries with numerators and
 denominators above 2**64) go through ``eliminate`` three ways: fraction-free
-on ``primitive_rows`` and read back with ``unit_rows``, by the field kernel
+on their primitive integer associates (``primitive_rows`` of
+``tests/oracles.py``) and read back with ``unit_rows``, by the field kernel
 over Q, and by the reference loop of ``tests/oracles.py``.  The pivots and
 rows must be equal, with every entry a ``Fraction``.
 """
@@ -16,10 +17,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import eliminate_reference  # noqa: E402
+from oracles import eliminate_reference, primitive_rows  # noqa: E402
 
 from omlie.fields import QQ  # noqa: E402
-from omlie.linalg import eliminate, primitive_rows, unit_rows  # noqa: E402
+from omlie.linalg import eliminate, unit_rows  # noqa: E402
 
 HUGE = 2**70
 

@@ -49,6 +49,7 @@ KEEP = {
     "multipoly.MPoly.format": "backs MPoly.__repr__",
     "fields.RatFunc.__rtruediv__": "number / element",
     "algebra.CheckReport.__bool__": "truth value: the check passed",
+    "fields.Field.__reduce__": "copy and pickle give back the one instance",
 }
 _VALUE_PROTOCOLS = """
     algebra.CheckReport.__repr__ algebra.OmegaForm.__eq__ algebra.OmegaForm.__repr__
