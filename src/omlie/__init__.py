@@ -40,7 +40,6 @@ from .catalog import CatalogEntry, instantiate, list_entries
 from .errors import AlgebraLoadError, AxiomCheckError, OmegaAlgebraError, SideConditionError
 from .fields import (
     Field,
-    Poly,
     QALPHA,
     QQ,
     RatFunc,

@@ -51,7 +51,7 @@ from .algebra import (
     check_omega_lsa,
 )
 from .errors import AxiomCheckError
-from .fields import QQ, rational_roots, Poly
+from .fields import QQ, rational_roots
 from .linalg import (
     AffineSpace,
     Matrix,
@@ -460,8 +460,7 @@ def _branch_candidates(residuals, d, field):
             if len(support) == 1:
                 (var,) = support
                 coeffs = {packing.degree(m): c for m, c in p.items()}
-                poly = Poly([coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)])
-                roots = rational_roots(poly)
+                roots = rational_roots(tuple([coeffs.get(k, 0) for k in range(max(coeffs) + 1)]))
                 return var, sorted(roots, key=lambda r: (abs(r), r < 0))
     return 0, list(_DEFAULT_CANDIDATES)
 

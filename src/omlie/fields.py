@@ -2,28 +2,27 @@
 
 Scalars are either arbitrary-precision rationals (plain ``fractions.Fraction``)
 or elements of Q(alpha), the field of rational functions in one formal
-parameter over Q.  ``Poly`` is a dense univariate polynomial with Fraction
-coefficients, index = degree, trailing coefficient nonzero.  It carries no
-arithmetic: the package uses it only to print, to record denominator trails
-and to find ``rational_roots``.
+parameter over Q.  A polynomial in alpha has one format: a tuple of ints, the
+coefficients from degree 0 up with no trailing zero, and ``()`` for zero.
+``poly_gcd`` and ``rational_roots`` take it; ``format_poly`` prints any
+sequence of rational coefficients.
 
-``RatFunc`` holds an element as two tuples of ints, numerator and
-denominator coefficients from degree 0 up, in one canonical form: the two are
-coprime in Q[alpha], the gcd of all their coefficients together is 1, the
-denominator's lead coefficient is positive, and zero is ``((), (1,))``.  So
-equal field elements are representationally equal and ``==`` is a tuple
-compare.  With constant denominators (the common case) ``+`` and ``*`` are
-int convolutions plus one ``math.gcd``, as ``Fraction`` does for ints;
-otherwise products cross-cancel and sums reduce by polynomial gcds, taken by a
-primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1) and only
-between non-constant polynomials.  ``num`` and ``den`` give the element as
-``Poly`` with a monic denominator.
+``RatFunc`` holds an element as two such tuples, numerator and denominator,
+in one canonical form: the two are coprime in Q[alpha], the gcd of all their
+coefficients together is 1, the denominator's lead coefficient is positive,
+and zero is ``((), (1,))``.  So equal field elements are representationally
+equal and ``==`` is a tuple compare.  With constant denominators (the common
+case) ``+`` and ``*`` are int convolutions plus one ``math.gcd``, as
+``Fraction`` does for ints; otherwise products cross-cancel and sums reduce
+by :func:`poly_gcd`, a primitive pseudo-remainder sequence (Knuth, TAOCP
+vol. 2, 4.6.1) taken only between non-constant polynomials.
 
 There is no floating point anywhere in this package.  Working in Q(alpha)
 means "generic alpha": every nonzero rational function is invertible, which is
 how side conditions like alpha not in {0, -1} are realised.  Inversions of
-nonconstant elements can be recorded with :func:`track_denominators` so a
-later specialisation alpha = a0 can be rejected when it lands on a root of a
+nonconstant elements can be recorded with :func:`track_denominators`, whose
+trail holds each inverted numerator, made monic, as a ``RatFunc``, so a later
+specialisation alpha = a0 can be rejected when it lands on a root of a
 polynomial that was divided by.
 """
 
@@ -32,71 +31,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
-
-
-class Poly:
-    """Univariate polynomial over Q.  ``coeffs[k]`` is the degree-k coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def lc(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly((other,)).coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def monic(self) -> "Poly":
-        if not self or self.lc() == 1:
-            return self
-        inv = 1 / self.lc()
-        return Poly(tuple(c * inv for c in self.coeffs))
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        return f"Poly({format_poly(self)!r})"
-
-
-# Integer polynomials: tuples of ints from degree 0 up, no trailing zero, and
-# () for zero.
-
-
-def _int_form(v):
-    """(coefficients, positive int) whose quotient is the int, Fraction or Poly ``v``."""
-    if isinstance(v, Poly):
-        scale = 1
-        for c in v.coeffs:
-            d = c.denominator
-            scale = scale * d // gcd(scale, d)
-        return tuple([c.numerator * (scale // c.denominator) for c in v.coeffs]), scale
-    if isinstance(v, (int, Fraction)):
-        return ((v.numerator,) if v else ()), v.denominator
-    return None
 
 
 def _ip_add(a, b):
@@ -168,8 +102,9 @@ def _ip_prem(a, b):
     return tuple(r)
 
 
-def _ip_gcd(a, b):
-    """Primitive gcd with positive lead coefficient, by the primitive PRS; gcd(0, 0) = ()."""
+def poly_gcd(a, b):
+    """gcd of two int polynomials (tuples from degree 0 up, no trailing zero):
+    primitive, with positive lead coefficient, by the primitive PRS; gcd(0, 0) = ()."""
     if not b:
         return _ip_primitive(a) if a else ()
     if not a:
@@ -200,32 +135,21 @@ def _ip_exquo(a, b):
     return tuple(q)
 
 
-def _monic_poly(a) -> Poly:
-    lc = a[-1] if a else 1
-    return Poly(tuple(Fraction(c, lc) for c in a))
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    return _monic_poly(_ip_gcd(_int_form(p)[0], _int_form(q)[0]))
-
-
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial, by the rational root test."""
-    if not p:
+def rational_roots(a) -> list[Fraction]:
+    """All rational roots, ascending, of a nonzero int polynomial (a tuple from
+    degree 0 up, no trailing zero), by the rational root test."""
+    if not a:
         raise ValueError("the zero polynomial has every root")
-    roots = set()
-    ints = _ip_primitive(_int_form(p)[0])
-    if not ints[0]:
-        roots.add(Fraction(0))
-        while not ints[0]:
-            ints = ints[1:]
-    if len(ints) == 1:
+    a = _ip_primitive(a)
+    low = next(k for k, c in enumerate(a) if c)
+    roots = {Fraction(0)} if low else set()
+    a = a[low:]
+    if len(a) == 1:
         return sorted(roots)
-    for pn in _divisors(abs(ints[0])):
-        for qn in _divisors(abs(ints[-1])):
+    for pn in _divisors(abs(a[0])):
+        for qn in _divisors(a[-1]):
             for cand in (Fraction(pn, qn), Fraction(-pn, qn)):
-                if cand not in roots and not p.evaluate(cand):
+                if not _homogenised(a, cand.numerator, cand.denominator):
                     roots.add(cand)
     return sorted(roots)
 
@@ -242,12 +166,11 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def format_poly(p: Poly) -> str:
-    if not p:
-        return "0"
+def format_poly(coeffs) -> str:
+    """A sequence of rational coefficients, from degree 0 up, as a polynomial in alpha."""
     parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if not c:
             continue
         neg = c < 0
@@ -261,20 +184,21 @@ def format_poly(p: Poly) -> str:
             parts.append(f"-{body}" if neg else body)
         else:
             parts.append(f" - {body}" if neg else f" + {body}")
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
-_DENOM_TRAILS: list[list[Poly]] = []
+_DENOM_TRAILS: list[list[RatFunc]] = []
 
 
 @contextmanager
 def track_denominators():
-    """Collect the monic numerators of nonconstant elements inverted inside the block.
+    """Collect the monic numerators of nonconstant elements inverted inside the
+    block, each as a ``RatFunc`` with a constant denominator.
 
     A sampled alpha value that is a root of any collected polynomial must be
     rejected: the recorded computation divided by something that vanishes there.
     """
-    trail: list[Poly] = []
+    trail: list[RatFunc] = []
     _DENOM_TRAILS.append(trail)
     try:
         yield trail
@@ -283,12 +207,12 @@ def track_denominators():
         _DENOM_TRAILS[:] = [t for t in _DENOM_TRAILS if t is not trail]
 
 
-def _record_inversion(num: Poly):
-    if num.degree >= 1 and _DENOM_TRAILS:
-        m = num.monic()
-        for trail in _DENOM_TRAILS:
-            if m not in trail:
-                trail.append(m)
+def _record_inversion(n):
+    """Add the monic associate of the int polynomial ``n`` to every open trail."""
+    m = _coprime_rf(n, (n[-1],))
+    for trail in _DENOM_TRAILS:
+        if m not in trail:
+            trail.append(m)
 
 
 def _rf(n, d):
@@ -315,7 +239,7 @@ def _coprime_rf(n, d):
 def _reduced_rf(n, d):
     """A RatFunc from any n / d with d nonzero."""
     if len(n) > 1 and len(d) > 1:
-        g = _ip_gcd(n, d)
+        g = poly_gcd(n, d)
         if len(g) > 1:
             n, d = _ip_exquo(n, g), _ip_exquo(d, g)
     return _coprime_rf(n, d)
@@ -350,11 +274,11 @@ def _product(n1, d1, n2, d2):
     if len(d1) == 1 and len(d2) == 1:
         return _over_int(_ip_mul(n1, n2), d1[0] * d2[0])
     if len(n1) > 1 and len(d2) > 1:
-        g = _ip_gcd(n1, d2)
+        g = poly_gcd(n1, d2)
         if len(g) > 1:
             n1, d2 = _ip_exquo(n1, g), _ip_exquo(d2, g)
     if len(n2) > 1 and len(d1) > 1:
-        g = _ip_gcd(n2, d1)
+        g = poly_gcd(n2, d1)
         if len(g) > 1:
             n2, d1 = _ip_exquo(n2, g), _ip_exquo(d1, g)
     return _coprime_rf(_ip_mul(n1, n2), _ip_mul(d1, d2))
@@ -363,30 +287,11 @@ def _product(n1, d1, n2, d2):
 class RatFunc:
     """Element of Q(alpha), kept as a canonical pair of integer polynomials.
 
-    ``RatFunc(num, den)`` takes ints, Fractions or ``Poly``; ``num`` and
-    ``den`` read the element back as ``Poly`` with ``den`` monic.
+    Elements come from ``QALPHA`` (``coerce``, ``parse``, ``alpha``) and the
+    arithmetic operators.
     """
 
     __slots__ = ("_n", "_d")
-
-    def __init__(self, num, den=1):
-        a = _int_form(num)
-        b = _int_form(den)
-        if a is None or b is None:
-            raise TypeError("RatFunc expects polynomial or rational arguments")
-        if not b[0]:
-            raise ZeroDivisionError("zero denominator in Q(alpha)")
-        x = _reduced_rf(_ip_scale(a[0], b[1]), _ip_scale(b[0], a[1]))
-        self._n, self._d = x._n, x._d
-
-    @property
-    def num(self) -> Poly:
-        lc = self._d[-1]
-        return Poly(tuple(Fraction(c, lc) for c in self._n))
-
-    @property
-    def den(self) -> Poly:
-        return _monic_poly(self._d)
 
     def __bool__(self):
         return bool(self._n)
@@ -443,7 +348,7 @@ class RatFunc:
         if not n:
             raise ZeroDivisionError("inverting zero in Q(alpha)")
         if len(n) > 1 and _DENOM_TRAILS:
-            _record_inversion(self.num)
+            _record_inversion(n)
         if n[-1] < 0:
             return _rf(_ip_scale(d, -1), _ip_scale(n, -1))
         return _rf(d, n)
@@ -515,15 +420,16 @@ def _as_ratfunc(v):
         return v
     if isinstance(v, (int, Fraction)):
         return _rf((v.numerator,), (v.denominator,)) if v else _R0
-    if isinstance(v, Poly):
-        return RatFunc(v)
     return None
 
 
 def format_ratfunc(x: RatFunc) -> str:
+    """The element with its denominator made monic; a constant one is left out."""
+    lc = x._d[-1]
+    num = format_poly([Fraction(c, lc) for c in x._n])
     if len(x._d) == 1:
-        return format_poly(x.num)
-    return f"({format_poly(x.num)})/({format_poly(x.den)})"
+        return num
+    return f"({num})/({format_poly([Fraction(c, lc) for c in x._d])})"
 
 
 class Field:
@@ -607,7 +513,7 @@ class _FunctionField(Field):
     def coerce(self, value):
         if isinstance(value, RatFunc):
             return value
-        if isinstance(value, (int, Fraction, Poly)):
+        if isinstance(value, (int, Fraction)):
             return _as_ratfunc(value)
         if isinstance(value, str):
             return self.parse(value)

@@ -15,9 +15,10 @@ admissibility decider's linear-consequence harvest over Q uses it: its
 residuals are built as primitive integer rows, it eliminates those, and it
 reads only the rows it keeps back as ``Fraction``s with :func:`unit_rows`.
 It eliminates hundreds of rows and keeps few or none, so int updates with
-content removal cost less there than a ``Fraction`` per entry.  The linear stage stays on the field kernel: its constraint rows are
-sparse with entries +-1, where the integer kernel measured slower.  So does
-Q(alpha), whose pivot inversions are the denominator trail.
+content removal cost less there than a ``Fraction`` per entry.  The linear
+stage stays on the field kernel: its constraint rows are sparse with entries
++-1, where the integer kernel measured slower.  So does Q(alpha), whose pivot
+inversions are the denominator trail.
 The dense :class:`Matrix` holds the n x n operators: it compares,
 applies itself to a vector and recognises a multiple of the identity, with no
 matrix arithmetic; ``rref`` and ``invert`` (behind ``algebra.basis_change``)

@@ -9,11 +9,11 @@ import heapq
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from itertools import product as iproduct
-from math import gcd, inf, lcm
+from math import gcd, inf, isqrt, lcm
 from operator import add, sub
 
 from omlie.admissible import _DEFAULT_CANDIDATES
-from omlie.fields import QQ, Poly, _record_inversion, rational_roots
+from omlie.fields import QQ, _record_inversion, _reduced_rf
 from omlie.linalg import Matrix
 from omlie.multipoly import GroebnerResult, MPoly, Packing
 
@@ -461,7 +461,7 @@ def branch_candidates_reference(residuals, field):
                 (var,) = support
                 coeffs = {m[var]: c for m, c in p.terms.items()}
                 poly = Poly([coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)])
-                return var, sorted(rational_roots(poly), key=lambda r: (abs(r), r < 0))
+                return var, sorted(rational_roots_reference(poly), key=lambda r: (abs(r), r < 0))
     return 0, list(_DEFAULT_CANDIDATES)
 
 
@@ -557,6 +557,85 @@ def keyed_residuals_reference(L, space):
 # The field arithmetic the package used before integer polynomials, kept as
 # the reference: Poly with Fraction coefficients, Euclid's gcd, a quotient
 # reduced by it and scaled to a monic denominator.
+
+
+class Poly:
+    """Univariate polynomial over Q: ``coeffs[k]`` is the degree-k coefficient,
+    a Fraction, with no trailing zero."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def lc(self):
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def monic(self):
+        return Poly([c / self.lc() for c in self.coeffs]) if self else self
+
+    def evaluate(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+def int_coeffs(coeffs):
+    """A positive rational multiple of rational ``coeffs`` with int entries,
+    as a tuple from degree 0 up with no trailing zero."""
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    out = [c.numerator * (scale // c.denominator) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def ratfunc(num, den=(1,)):
+    """The ``fields.RatFunc`` num / den, from rational coefficient sequences
+    (degree 0 up), reduced by the package's own gcd without inverting
+    anything, so no ``track_denominators`` trail records it."""
+    scale = lcm(*(Fraction(c).denominator for c in (*num, *den)))
+    n, d = int_coeffs([c * scale for c in num]), int_coeffs([c * scale for c in den])
+    if not d:
+        raise ZeroDivisionError("zero denominator in Q(alpha)")
+    return _reduced_rf(n, d)
+
+
+def rational_roots_reference(p):
+    """All rational roots, ascending, of a nonzero Poly: each candidate of the
+    rational root test, evaluated by Horner's rule in Fractions."""
+    if not p:
+        raise ValueError("the zero polynomial has every root")
+    ints = int_coeffs(p.coeffs)
+    low = next(k for k, c in enumerate(ints) if c)
+    roots = {Fraction(0)} if low else set()
+    for pn in _divisors(abs(ints[low])):
+        for qn in _divisors(abs(ints[-1])):
+            roots |= {c for c in (Fraction(pn, qn), Fraction(-pn, qn)) if not p.evaluate(c)}
+    return sorted(roots)
+
+
+def _divisors(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def poly_add(p, q, c=1):
@@ -695,7 +774,8 @@ class RatFuncReference:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverting zero in Q(alpha)")
-        _record_inversion(self.num)
+        if self.num.degree >= 1:
+            _record_inversion(int_coeffs(self.num.coeffs))
         return RatFuncReference(self.den, self.num)
 
     def __truediv__(self, other):

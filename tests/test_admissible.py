@@ -595,7 +595,8 @@ def test_branch_candidates_match_mpoly_reference(monkeypatch):
     monkeypatch.undo()
     # Hand-made systems in 3 parameters: two univariate residuals after a
     # bivariate one (the first is taken); one without rational roots; none;
-    # roots of equal absolute value; Q(alpha).
+    # roots of equal absolute value; Q(alpha).  Over Q they are keyed as the
+    # decider builds residuals, as primitive integer rows.
     for terms in (
         [
             {(1, 1, 0): 1, (0, 0, 0): 1},
@@ -607,7 +608,7 @@ def test_branch_candidates_match_mpoly_reference(monkeypatch):
         [{(2, 0, 0): 1, (0, 0, 0): -1}],
     ):
         polys = [MPoly(QQ, 3, t) for t in terms]
-        nodes.append((choose([_keyed(p) for p in polys], 3, QQ), polys, QQ))
+        nodes.append((choose(primitive_rows(map(_keyed, polys)), 3, QQ), polys, QQ))
     polys = [MPoly(QALPHA, 3, {(0, 2, 0): QALPHA.one, (0, 0, 0): -QALPHA.one})]
     nodes.append((choose([_keyed(p) for p in polys], 3, QALPHA), polys, QALPHA))
     for got, polys, field in nodes:

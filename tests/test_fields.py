@@ -1,18 +1,26 @@
 import copy
+import math
 import pickle
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from oracles import poly_add, poly_divmod_reference, poly_mul
+from oracles import (
+    Poly,
+    int_coeffs,
+    poly_add,
+    poly_divmod_reference,
+    poly_gcd_reference,
+    poly_mul,
+    rational_roots_reference,
+    ratfunc,
+)
 
 from omlie.exprs import MAX_ALPHA_DEGREE, MAX_SCALAR_BITS, ExprError, parse_combination
 from omlie.fields import (
-    Poly,
     QALPHA,
     QQ,
-    RatFunc,
     evaluate_at,
     field_named,
     format_poly,
@@ -32,16 +40,37 @@ ALPHA = QALPHA.alpha
 class TestPolyGcd:
     def test_common_linear_factor(self):
         # alpha^2 - 1 and alpha - 1 share the root alpha = 1
-        assert poly_gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)
+        assert poly_gcd((-1, 0, 1), (-1, 1)) == (-1, 1)
 
-    def test_gcd_with_zero_is_monic_normalization(self):
-        assert poly_gcd(P(2, 4), Poly()) == P(1, 2).monic()
-        assert poly_gcd(Poly(), P(0, 0, 3)) == P(0, 0, 1)
-        assert poly_gcd(Poly(), Poly()) == Poly()
+    def test_gcd_with_zero_is_the_primitive_associate(self):
+        assert poly_gcd((2, 4), ()) == (1, 2)
+        assert poly_gcd((), (0, 0, -3)) == (0, 0, 1)
+        assert poly_gcd((), ()) == ()
 
     def test_coprime_pair(self):
         # Euclid by hand: alpha^2 + 1 = (alpha + 1)(alpha - 1) + 2, so gcd = 1
-        assert poly_gcd(P(1, 0, 1), P(1, 1)) == P(1)
+        assert poly_gcd((1, 0, 1), (1, 1)) == (1,)
+
+    def test_matches_euclid_over_q(self):
+        # Inputs are int tuples with no trailing zero (the contract): products
+        # of small factors, so that the gcds are often non-trivial, with
+        # contents and signs of their own, and the zero polynomial ().
+        rng = random.Random(41)
+        pool = [(-1, 1), (1, 1), (3, 2), (1, 0, 1), (-2, 0, 3), (0, 1), (5,), (-4,)]
+
+        def product():
+            p = P(rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 4)):
+                p = poly_mul(p, P(*rng.choice(pool)))
+            return p
+
+        for _ in range(300):
+            p, q = product(), product()
+            a, b = int_coeffs(p.coeffs), int_coeffs(q.coeffs)
+            want = int_coeffs(poly_gcd_reference(p, q).coeffs)
+            got = poly_gcd(a, b)
+            assert got == poly_gcd(b, a) == want
+            assert not got or (got[-1] > 0 and math.gcd(*got) == 1)
 
 
 class TestNormalization:
@@ -49,19 +78,19 @@ class TestNormalization:
         assert Fraction(2, 4) == Fraction(1, 2)
 
     def test_ratfunc_cancellation(self):
-        x = RatFunc(P(-1, 0, 1), P(-1, 1))  # (alpha^2 - 1) / (alpha - 1)
-        assert x == RatFunc(P(1, 1))
-        assert x.num == P(1, 1) and x.den == P(1)
+        x = ratfunc((-1, 0, 1), (-1, 1))  # (alpha^2 - 1) / (alpha - 1)
+        assert x == ALPHA + 1
+        assert QALPHA.format(x) == "alpha + 1"
 
     def test_sign_normalization(self):
         assert Fraction(-1, -3) == Fraction(1, 3)
-        y = RatFunc(P(1), P(0, -2))  # 1 / (-2 alpha): denominator made monic
-        assert y.den == P(0, 1)
-        assert y.num == P(Fraction(-1, 2))
+        y = QALPHA.one / (-2 * ALPHA)  # denominator printed monic
+        assert y == ratfunc((Fraction(-1, 2),), (0, 1))
+        assert QALPHA.format(y) == "(-1/2)/(alpha)"
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            RatFunc(P(1), Poly())
+            QALPHA.one / QALPHA.zero
 
     def test_equal_values_hash_equal(self):
         # a constant of Q(alpha) equals its int or Fraction, so it hashes alike
@@ -70,19 +99,19 @@ class TestNormalization:
             assert x == v and hash(x) == hash(v) == hash(Fraction(v))
         assert {2: "two"}.get(QALPHA.coerce(2)) == "two"
         assert {Fraction(1, 2): "half"}.get(QALPHA.one / 2) == "half"
-        x = RatFunc(P(-1, 0, 1), P(-1, 1))
-        assert hash(x) == hash(RatFunc(P(1, 1)))
+        x = ratfunc((-1, 0, 1), (-1, 1))
+        assert hash(x) == hash(ALPHA + 1)
 
 
 
 def _random_scalar(rng, field):
     if field is QQ:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    num = P(*[Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))])
-    den = Poly()
-    while not den:
-        den = P(*[Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))])
-    return RatFunc(num, den)
+    num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+    den = [0]
+    while not any(den):
+        den = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+    return ratfunc(num, den)
 
 
 @pytest.mark.parametrize("field", [QQ, QALPHA], ids=["Q", "Q(alpha)"])
@@ -119,7 +148,7 @@ def test_embedding_homomorphism():
 
 
 def test_evaluate_rejects_vanishing_denominator():
-    x = RatFunc(P(1), P(-2, 1))  # 1 / (alpha - 2)
+    x = ratfunc((1,), (-2, 1))  # 1 / (alpha - 2)
     assert x.evaluate(Fraction(3)) == 1
     with pytest.raises(ZeroDivisionError):
         x.evaluate(Fraction(2))
@@ -128,10 +157,13 @@ def test_evaluate_rejects_vanishing_denominator():
 
 def test_track_denominators_records_inversions():
     with track_denominators() as trail:
-        x = RatFunc(P(-2, 1))  # alpha - 2
+        x = ALPHA - 2
         _ = QALPHA.one / x
         _ = x / x  # same divisor, recorded once
-    assert trail == [P(-2, 1)]
+        _ = QALPHA.one / (6 - 3 * ALPHA)  # its monic associate is alpha - 2 again
+        _ = QALPHA.one / (2 * ALPHA + 1)
+    assert [QALPHA.format(t) for t in trail] == ["alpha - 2", "alpha + 1/2"]
+    assert trail == [ALPHA - 2, ALPHA + Fraction(1, 2)]
     # constants are not interesting
     with track_denominators() as trail:
         _ = QALPHA.one / QALPHA.coerce(7)
@@ -143,17 +175,17 @@ def test_nested_track_denominators_keep_the_outer_trail():
     with track_denominators() as outer:
         with track_denominators() as inner:
             pass
-        _ = QALPHA.one / RatFunc(P(-2, 1))
-    assert inner == [] and outer == [P(-2, 1)]
+        _ = QALPHA.one / (ALPHA - 2)
+    assert inner == [] and outer == [ALPHA - 2]
 
 
 class TestScalarParsing:
     def test_literals(self):
         assert QQ.parse("-17") == Fraction(-17)
         assert QQ.parse("3/4") == Fraction(3, 4)
-        assert QALPHA.parse("(alpha+1)/2") == RatFunc(P(Fraction(1, 2), Fraction(1, 2)))
-        assert QALPHA.parse("alpha^2 - 1") == RatFunc(P(-1, 0, 1))
-        assert QALPHA.parse("1/(alpha+1)") == RatFunc(P(1), P(1, 1))
+        assert QALPHA.parse("(alpha+1)/2") == ratfunc((Fraction(1, 2), Fraction(1, 2)))
+        assert QALPHA.parse("alpha^2 - 1") == ratfunc((-1, 0, 1))
+        assert QALPHA.parse("1/(alpha+1)") == ratfunc((1,), (1, 1))
 
     def test_alpha_not_available_over_q(self):
         with pytest.raises(ValueError):
@@ -203,8 +235,9 @@ class TestScalarParsing:
         assert time.perf_counter() - started < 5
 
     def test_format_poly(self):
-        assert format_poly(P(Fraction(1, 2), -2, 1)) == "alpha^2 - 2*alpha + 1/2"
-        assert format_poly(Poly()) == "0"
+        assert format_poly((Fraction(1, 2), -2, 1)) == "alpha^2 - 2*alpha + 1/2"
+        assert format_poly((0, Fraction(-3, 4), 0, -1)) == "-alpha^3 - 3/4*alpha"
+        assert format_poly(()) == "0"
 
 
 def test_field_named():
@@ -239,6 +272,24 @@ def test_poly_division_property():
 
 def test_rational_roots():
     # (2x - 1)(x + 3) x = 2x^3 + 5x^2 - 3x
-    p = P(0, -3, 5, 2)
-    assert rational_roots(p) == [Fraction(-3), Fraction(0), Fraction(1, 2)]
-    assert rational_roots(P(1, 0, 1)) == []
+    assert rational_roots((0, -3, 5, 2)) == [Fraction(-3), Fraction(0), Fraction(1, 2)]
+    assert rational_roots((1, 0, 1)) == []
+    with pytest.raises(ValueError):
+        rational_roots(())
+
+
+def test_rational_roots_match_reference():
+    # Int tuples with no trailing zero (the contract), built as products of
+    # linear factors c*x - r and a quadratic without rational roots: so
+    # non-primitive ones, negative leads and zero constant terms all occur.
+    rng = random.Random(43)
+    for _ in range(300):
+        p = P(rng.choice((-6, -2, -1, 1, 3, 4)))
+        for _ in range(rng.randint(0, 4)):
+            factor = rng.choice(((rng.randint(-5, 5), rng.randint(1, 4)), (2, 0, 1), (0, 1)))
+            p = poly_mul(p, P(*factor))
+        a = int_coeffs(p.coeffs)
+        want = rational_roots_reference(p)
+        assert rational_roots(a) == want
+        assert rational_roots(tuple(-c for c in a)) == want
+        assert all(not p.evaluate(r) for r in want)

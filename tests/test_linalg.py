@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from omlie.fields import QALPHA, QQ, Poly, track_denominators
+from omlie.fields import QALPHA, QQ, track_denominators
 from omlie.linalg import AffineSpace, Matrix, eliminate, intersect, invert, rref, solve_affine
 
 from oracles import eliminate_reference, random_fraction, scalar_matrix
@@ -152,8 +152,8 @@ def _random_scalar(rng, field):
     x = random_fraction(rng) or Fraction(1)
     if field is QQ:
         return x
-    num = QALPHA.coerce(Poly((x, random_fraction(rng))))
-    return num / QALPHA.coerce(Poly((rng.randint(1, 3), 1))) if num else QALPHA.one
+    num = x + random_fraction(rng) * QALPHA.alpha
+    return num / (rng.randint(1, 3) + QALPHA.alpha) if num else QALPHA.one
 
 
 def _random_system(rng, field, point, nrows):

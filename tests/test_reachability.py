@@ -32,16 +32,12 @@ KEEP = {
     "linalg.Matrix.apply": "backs basis_change",
     "algebra.StructureTensor.zero": "constructor of the zero product",
     "algebra.OmegaForm.zero": "constructor of the zero form",
-    "fields.RatFunc.__init__": "constructor of Q(alpha) elements from polynomials",
-    "fields.RatFunc.den": "reads an element back as num/den; prints non-constant denominators",
-    "fields._monic_poly": "backs RatFunc.den and poly_gcd",
     "fields._divisors": "rational_roots on a polynomial with a nonzero constant term",
     "errors.AxiomCheckError.__init__": "raised by the library builders on invalid tables",
     "algebra.CheckReport.describe": "the message of AxiomCheckError",
     "cli.main": "entry point of the omlie script",
     "catalog._register": "runs at import, registering the families",
     # per-layer names of BENCHMARK.json: a traced benchmark run must find them
-    "fields.poly_gcd": "bench per-layer metrics fields.poly_gcd.*",
     "multipoly.normal_form": "bench per-layer metrics multipoly.normal_form.*",
     "multipoly.MPoly.lead_monomial": "bench per-layer metric multipoly.MPoly.lead_monomial.calls",
     "multipoly._degrevlex_desc_key": "backs MPoly.lead_monomial and MPoly.format",
@@ -56,7 +52,7 @@ _VALUE_PROTOCOLS = """
     algebra.OmegaLieAlgebra.__eq__ algebra.OmegaLieAlgebra.__repr__
     algebra.OmegaLsaAlgebra.__eq__ algebra.OmegaLsaAlgebra.__repr__
     algebra.StructureTensor.__hash__ algebra.StructureTensor.__repr__ fields.Field.__repr__
-    fields.Poly.__hash__ fields.Poly.__repr__ fields.RatFunc.__hash__ fields.RatFunc.__repr__
+    fields.RatFunc.__hash__ fields.RatFunc.__repr__
     linalg.AffineSpace.__eq__ linalg.AffineSpace.__repr__ linalg.Matrix.__eq__
     linalg.Matrix.__hash__ linalg.Matrix.__repr__
     multipoly.MPoly.__eq__ multipoly.MPoly.__hash__ multipoly.MPoly.__repr__
